@@ -96,11 +96,8 @@ def _cmd_eval_ranker(args) -> int:
 def _cmd_rankers(args) -> int:
     text = _read_inline(args.word)
     w = _word(text, args.alphabet)
-    if args.suc:
-        realized = realized_suc_rankers(w, args.n, alt_bound=args.m, cap=args.cap)
-    else:
-        realized = realized_rankers(w, args.n, alt_bound=args.m, cap=args.cap)
-    items = realized.select(max_length=args.n, max_blocks=args.m)
+    realize = realized_suc_rankers if args.suc else realized_rankers
+    items = realize(w, args.n, alt_bound=args.m, cap=args.cap).positions.items()
     record = {
         "word": w.text,
         "n": args.n,

@@ -110,9 +110,10 @@ class _Solver:
     def __init__(self, u: Word, v: Word, with_successor: bool, cap: int):
         self.u, self.v = u, v
         self.lu, self.lv = len(u), len(v)
+        self.with_successor = with_successor
         self.cap = cap
         self.table_size = (self.lu + 1) ** 2 * (self.lv + 1) ** 2
-        self.iso = _iso_table(u, v, with_successor)
+        self.iso: Optional[np.ndarray] = None  # built once the cap check has passed
 
     def _check_cap(self, live_tables: int):
         needed = live_tables * self.table_size
@@ -163,6 +164,7 @@ class _Solver:
             default=1,
         )
         self._check_cap(max_live + 1)  # + the iso table
+        self.iso = _iso_table(self.u, self.v, self.with_successor)
         prev = {key: self.iso for key in needed[0]}
         for d in range(1, n):
             cur = {}
@@ -195,7 +197,9 @@ class _Solver:
         samson_frozen: bool = False,
     ) -> GameVerdict:
         i1, i2, j1, j2 = start
-        if not self.iso[i1, i2, j1, j2]:
+        placed = GameConfig(self.u, self.v, i1 or None, i2 or None, j1 or None, j2 or None,
+                            with_successor=self.with_successor)
+        if not partial_iso(placed):
             movable = n >= 1 and not samson_frozen
             return GameVerdict(False, self._first_legal_move(sides) if movable else None)
         if n == 0 or samson_frozen:

@@ -9,23 +9,29 @@ Each decider checks, over ranker families realized on the two words:
 
 Condition (a) is checked over the whole cumulative family first, which
 guarantees every ranker appearing in (b) and (c) is defined on both words.
+
+Conditions (b) and (c) compare every row ranker with a set of column rankers
+through the comparison the signature sees: the sign of the position
+difference, or with successor that difference clipped to [-2, 2]. Rather
+than comparing every pair, the columns' positions are sorted once on each
+word and every row is checked by rank in O(log R), so the check takes
+O(R log R) time and O(R) memory. A failing row is then scanned against its
+columns in order, so the witness is the first failing (row, column) pair in
+row-major canonical order.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
-
-import numpy as np
+from typing import Callable, Optional
 
 from .errors import AlphabetMismatchError
 from .rankers import (
     AnyRanker,
     Direction,
-    alternation_blocks,
     _cached_realized,
-    _cached_realized_suc,
     render_ranker,
     sort_key,
 )
@@ -69,6 +75,79 @@ class EquivReport:
         }
 
 
+def _compare(d: int, successor: bool) -> int:
+    """What the signature sees of two positions d apart."""
+    if successor:
+        return max(-2, min(2, d))
+    return (d > 0) - (d < 0)
+
+
+class _Columns:
+    """A set of column rankers, ranked by position on each word.
+
+    A row at (x, y) compares the same way with every column on both words
+    iff for each cut c the columns below x + c on u are exactly the columns
+    below y + c on v. Cuts 0 and 1 tell <, = and > apart; with successor,
+    cuts -1 and 2 also single out the neighbours x - 1 and x + 1.
+    """
+
+    def __init__(self, cols: list[int], pos_u: list[int], pos_v: list[int]):
+        self.cols = cols
+        by_u = sorted(cols, key=pos_u.__getitem__)
+        by_v = sorted(cols, key=pos_v.__getitem__)
+        self.sorted_u = [pos_u[j] for j in by_u]
+        self.sorted_v = [pos_v[j] for j in by_v]
+        # same_set[s]: the s columns lowest on u are the s lowest on v
+        self.same_set = [True]
+        seen_u: set[int] = set()
+        seen_v: set[int] = set()
+        unmatched = 0
+        for ju, jv in zip(by_u, by_v):
+            seen_u.add(ju)
+            unmatched += -1 if ju in seen_v else 1
+            seen_v.add(jv)
+            unmatched += -1 if jv in seen_u else 1
+            self.same_set.append(unmatched == 0)
+
+    def agree(self, x: int, y: int, cuts: tuple[int, ...]) -> bool:
+        for c in cuts:
+            s = bisect_left(self.sorted_u, x + c)
+            if s != bisect_left(self.sorted_v, y + c) or not self.same_set[s]:
+                return False
+        return True
+
+
+def _first_bad(
+    columns_of: Callable[[int], _Columns], pos_u: list[int], pos_v: list[int], successor: bool
+) -> Optional[tuple[int, int]]:
+    """The first row, in order, that some column tells apart on u and v,
+    with its first such column."""
+    cuts = (-1, 0, 1, 2) if successor else (0, 1)
+    for i, (x, y) in enumerate(zip(pos_u, pos_v)):
+        columns = columns_of(i)
+        if not columns.agree(x, y, cuts):
+            return i, next(
+                j for j in columns.cols
+                if _compare(x - pos_u[j], successor) != _compare(y - pos_v[j], successor)
+            )
+    return None
+
+
+def _first_difference(a: list[AnyRanker], b: list[AnyRanker]) -> Optional[AnyRanker]:
+    """The least ranker in exactly one of two lists in canonical order, or None.
+
+    Up to the first position where the lists differ they hold the same
+    rankers; there, the lesser of the two is in one list only, and every
+    lesser ranker is in both.
+    """
+    for r, s in zip(a, b):
+        if r != s:
+            return min(r, s, key=sort_key)
+    if len(a) == len(b):
+        return None
+    return (a if len(a) > len(b) else b)[min(len(a), len(b))]
+
+
 def _structure_check(u: Word, v: Word, n: int, m: Optional[int], successor: bool) -> EquivReport:
     if u.alphabet != v.alphabet:
         raise AlphabetMismatchError(
@@ -78,76 +157,46 @@ def _structure_check(u: Word, v: Word, n: int, m: Optional[int], successor: bool
         raise ValueError("n must be >= 1")
     if m is not None and m < 1:
         raise ValueError("m must be >= 1")
-    realize = _cached_realized_suc if successor else _cached_realized
-    ru = realize(u, n)
-    rv = realize(v, n)
+    ru = _cached_realized(u, n, successor)
+    rv = _cached_realized(v, n, successor)
 
-    def family(realized) -> set:
-        if m is None:
-            return set(realized.positions)
-        return {r for r in realized.positions if alternation_blocks(r) <= m}
+    def family(realized) -> list[tuple[AnyRanker, int, int]]:
+        rows = zip(realized.positions, realized.positions.values(), realized.blocks)
+        return [row for row in rows if m is None or row[2] <= m]
 
     fam_u = family(ru)
     fam_v = family(rv)
-    if fam_u != fam_v:
-        witness = min(fam_u ^ fam_v, key=sort_key)
+    common = [r for r, _, _ in fam_u]
+    witness = _first_difference(common, [r for r, _, _ in fam_v])
+    if witness is not None:
         entry = WitnessEntry(witness, ru.positions.get(witness), rv.positions.get(witness))
         return EquivReport(False, FailedCondition.DEFINEDNESS, (entry,), n, m, successor)
 
-    common = sorted(fam_u, key=sort_key)
-    if not common:
-        return EquivReport(True, FailedCondition.NONE, (), n, m, successor)
-    lengths = np.array([len(r) for r in common])
-    blocks = np.array([alternation_blocks(r) for r in common])
-    last_right = np.array([r.last_direction is Direction.RIGHT for r in common])
-    pos_u = np.array([ru.positions[r] for r in common])
-    pos_v = np.array([rv.positions[r] for r in common])
-    du = pos_u[:, None] - pos_u[None, :]
-    dv = pos_v[:, None] - pos_v[None, :]
-    if successor:
-        cmp_u = np.clip(du, -2, 2)
-        cmp_v = np.clip(dv, -2, 2)
-    else:
-        cmp_u = np.sign(du)
-        cmp_v = np.sign(dv)
-    disagree = cmp_u != cmp_v
+    pos_u = [p for _, p, _ in fam_u]
+    pos_v = [p for _, p, _ in fam_v]
+    shorter = [j for j, r in enumerate(common) if len(r) <= n - 1]
 
-    def first_bad(row_mask: np.ndarray, col_mask: np.ndarray) -> Optional[tuple[int, int]]:
-        bad = disagree & row_mask[:, None] & col_mask[None, :]
-        if not bad.any():
-            return None
-        flat = int(np.argmax(bad))  # row-major: deterministic enumeration order
-        return divmod(flat, len(common))
+    def report(condition: FailedCondition, hit: tuple[int, int]) -> EquivReport:
+        entries = tuple(WitnessEntry(common[k], pos_u[k], pos_v[k]) for k in hit)
+        return EquivReport(False, condition, entries, n, m, successor)
 
     # (b): rankers vs strictly shorter (and, in alternation mode, strictly
     # less alternating) rankers
-    row_b = np.ones(len(common), dtype=bool)
-    col_b = lengths <= n - 1
-    if m is not None:
-        col_b = col_b & (blocks <= m - 1)
-    hit = first_bad(row_b, col_b)
+    cols_b = shorter if m is None else [j for j in shorter if fam_u[j][2] <= m - 1]
+    columns_b = _Columns(cols_b, pos_u, pos_v)
+    hit = _first_bad(lambda i: columns_b, pos_u, pos_v, successor)
     if hit is not None:
-        i, j = hit
-        entries = (
-            WitnessEntry(common[i], int(pos_u[i]), int(pos_v[i])),
-            WitnessEntry(common[j], int(pos_u[j]), int(pos_v[j])),
-        )
-        return EquivReport(False, FailedCondition.ORDER, entries, n, m, successor)
+        return report(FailedCondition.ORDER, hit)
 
-    # (c): only in alternation mode; equally-alternating shorter rankers
-    # ending with the opposite direction
+    # (c): only in alternation mode; shorter rankers ending with the
+    # opposite direction
     if m is not None:
-        col_c = lengths <= n - 1
-        dir_differs = last_right[:, None] != last_right[None, :]
-        bad = disagree & col_c[None, :] & dir_differs
-        if bad.any():
-            flat = int(np.argmax(bad))
-            i, j = divmod(flat, len(common))
-            entries = (
-                WitnessEntry(common[i], int(pos_u[i]), int(pos_v[i])),
-                WitnessEntry(common[j], int(pos_u[j]), int(pos_v[j])),
-            )
-            return EquivReport(False, FailedCondition.CROSS_DIRECTION, entries, n, m, successor)
+        ends_right = [r.last_direction is Direction.RIGHT for r in common]
+        right = _Columns([j for j in shorter if ends_right[j]], pos_u, pos_v)
+        left = _Columns([j for j in shorter if not ends_right[j]], pos_u, pos_v)
+        hit = _first_bad(lambda i: left if ends_right[i] else right, pos_u, pos_v, successor)
+        if hit is not None:
+            return report(FailedCondition.CROSS_DIRECTION, hit)
 
     return EquivReport(True, FailedCondition.NONE, (), n, m, successor)
 

@@ -20,7 +20,7 @@ from .errors import (
     SignatureError,
     UnknownLetterError,
 )
-from .rankers import AnyRanker, Direction, NeighborhoodBoundaryPos, SucRanker
+from .rankers import AnyRanker, BoundaryPos, Direction
 from .words import Alphabet, Word
 
 VARS = ("x", "y")
@@ -625,14 +625,6 @@ _REL_ALIASES = {
 }
 
 
-def _steps_of(r: AnyRanker) -> tuple[NeighborhoodBoundaryPos, ...]:
-    if isinstance(r, SucRanker):
-        return r.steps
-    return tuple(
-        NeighborhoodBoundaryPos(s.direction, "", s.letter, "") for s in r.steps
-    )
-
-
 def _left_chain(letters: str, var: str) -> Optional[Formula]:
     # letters[-1] sits immediately left of var, letters[-2] one further, ...
     if not letters:
@@ -650,7 +642,7 @@ def _right_chain(letters: str, var: str) -> Optional[Formula]:
     return Exists(u, conjoin([Suc(var, u), inner]))
 
 
-def _window(step: NeighborhoodBoundaryPos, var: str) -> list[Formula]:
+def _window(step: BoundaryPos, var: str) -> list[Formula]:
     """Conjuncts stating that var's position matches the step's window.
 
     The side chains are parallel branches, so they cost max(k, l) depth,
@@ -667,7 +659,7 @@ def _window(step: NeighborhoodBoundaryPos, var: str) -> list[Formula]:
     return parts
 
 
-def _definedness(steps: Sequence[NeighborhoodBoundaryPos], var: str) -> Optional[Formula]:
+def _definedness(steps: Sequence[BoundaryPos], var: str) -> Optional[Formula]:
     if not steps:
         return None
     last, prefix = steps[-1], steps[:-1]
@@ -675,7 +667,7 @@ def _definedness(steps: Sequence[NeighborhoodBoundaryPos], var: str) -> Optional
     return Exists(var, conjoin(_window(last, var) + [_comparison(prefix, rel, var)]))
 
 
-def _comparison(steps: Sequence[NeighborhoodBoundaryPos], rel: str, var: str) -> Optional[Formula]:
+def _comparison(steps: Sequence[BoundaryPos], rel: str, var: str) -> Optional[Formula]:
     """Formula meaning "the steps are defined and var `rel` their position".
 
     None stands for the vacuous comparison against the sentinel before/after
@@ -717,7 +709,7 @@ def synth_comparison(r: AnyRanker, relation: str, free_var: str = "x") -> Formul
     if rel is None:
         raise ValueError(f"relation must be one of <, <=, >, >=, got {relation!r}")
     _check_var(free_var)
-    f = _comparison(_steps_of(r), rel, free_var)
+    f = _comparison(r.steps, rel, free_var)
     assert f is not None
     assert formula_metrics(f).quantifier_depth <= len(r)
     return f
@@ -725,7 +717,7 @@ def synth_comparison(r: AnyRanker, relation: str, free_var: str = "x") -> Formul
 
 def synth_definedness(r: AnyRanker) -> Formula:
     """A sentence true on exactly the words where r is defined."""
-    f = _definedness(_steps_of(r), "x")
+    f = _definedness(r.steps, "x")
     assert f is not None
     assert formula_metrics(f).quantifier_depth <= len(r)
     assert not free_vars(f)
@@ -734,7 +726,7 @@ def synth_definedness(r: AnyRanker) -> Formula:
 
 def synth_position(r: AnyRanker) -> Formula:
     """A formula with free x satisfied at exactly the position of r, if any."""
-    steps = _steps_of(r)
+    steps = r.steps
     last, prefix = steps[-1], steps[:-1]
     win_x = _window(last, "x")
     win_y = _window(last, "y")

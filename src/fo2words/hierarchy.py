@@ -201,11 +201,12 @@ def verify_hierarchy_level(
     if game_cap is not None:
         game_kwargs["cap"] = game_cap
 
+    # the game first: over its cell cap it fails before any other work
+    indist_game = game_equiv_alt(u, v, m - 1, n, **game_kwargs).delilah_wins
     indist_ranker: Optional[bool] = None
     if m >= 2:
         decider = suc_ranker_equiv_alt if successor else ranker_equiv_alt
         indist_ranker = decider(u, v, m - 1, n).verdict
-    indist_game = game_equiv_alt(u, v, m - 1, n, **game_kwargs).delilah_wins
 
     rankers = None
     ord_u = ord_v = None

@@ -1,8 +1,12 @@
-"""Boundary positions and rankers: plain, alternation-classified, and successor forms.
+"""Boundary positions and rankers over the signatures {<} and {<, suc}.
 
 A ranker is a little program of "go to the next/previous occurrence" steps.
 Evaluation threads a position through the steps; a step with no matching
 occurrence makes the whole ranker undefined (returned as None).
+
+Over {<, suc} a step also requires a window of letters around its position.
+A plain ranker is a successor ranker whose windows are all empty, so one step
+type, one evaluator, one enumerator and one cache serve both signatures.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterator, Mapping
 
 from .errors import EnumerationCapError
 from .words import Alphabet, Word
@@ -25,34 +29,33 @@ class Direction(Enum):
 
 @dataclass(frozen=True)
 class BoundaryPos:
-    """One step: the next (RIGHT) or previous (LEFT) occurrence of a letter."""
+    """One step: the next (RIGHT) or previous (LEFT) position of `letter`
+    whose surrounding window reads `before + letter + after`.
 
-    direction: Direction
-    letter: str
-
-    def __str__(self) -> str:
-        return f"{self.direction.value}{self.letter}"
-
-
-@dataclass(frozen=True)
-class NeighborhoodBoundaryPos:
-    """One successor-form step: next/previous position whose surrounding window matches.
-
-    The window is `before + letter + after`; the step's position is the
-    position of `letter`, so the window only matches where it fully fits.
+    The window only matches where it fully fits in the word; empty windows
+    make the plain step "next/previous occurrence of a letter".
     """
 
     direction: Direction
-    before: str
     letter: str
-    after: str
+    before: str = ""
+    after: str = ""
 
     def __str__(self) -> str:
-        return f"{self.direction.value}[{self.before}|{self.letter}|{self.after}]"
+        if self.before or self.after:
+            return _bracketed(self)
+        return f"{self.direction.value}{self.letter}"
 
-    @property
-    def is_plain(self) -> bool:
-        return not self.before and not self.after
+
+def _bracketed(step: BoundaryPos) -> str:
+    return f"{step.direction.value}[{step.before}|{step.letter}|{step.after}]"
+
+
+def NeighborhoodBoundaryPos(
+    direction: Direction, before: str, letter: str, after: str
+) -> BoundaryPos:
+    """A successor-form step, its arguments in the window's reading order."""
+    return BoundaryPos(direction, letter, before, after)
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,7 @@ class Ranker:
         """The ranker made of the first k steps."""
         if not 1 <= k <= len(self.steps):
             raise ValueError(f"prefix length {k} out of range [1, {len(self.steps)}]")
-        return Ranker(self.steps[:k])
+        return type(self)(self.steps[:k])
 
     @property
     def last_direction(self) -> Direction:
@@ -85,142 +88,105 @@ class Ranker:
         return "".join(str(s) for s in self.steps)
 
 
-@dataclass(frozen=True)
-class SucRanker:
-    """A non-empty sequence of neighborhood boundary positions.
+class SucRanker(Ranker):
+    """A ranker over {<, suc}, written with a bracketed window on every step.
 
     The i-th step's window widths are capped at i-1 on each side, so the
     first step is always a plain letter step.
     """
 
-    steps: tuple[NeighborhoodBoundaryPos, ...]
-
     def __post_init__(self):
-        if not self.steps:
-            raise ValueError("a successor ranker needs at least one step")
+        super().__post_init__()
         for i, step in enumerate(self.steps, start=1):
             if len(step.before) > i - 1 or len(step.after) > i - 1:
                 raise ValueError(
                     f"step {i} window ({len(step.before)},{len(step.after)}) exceeds the cap {i - 1}"
                 )
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def __iter__(self) -> Iterator[NeighborhoodBoundaryPos]:
-        return iter(self.steps)
-
-    def prefix(self, k: int) -> "SucRanker":
-        if not 1 <= k <= len(self.steps):
-            raise ValueError(f"prefix length {k} out of range [1, {len(self.steps)}]")
-        return SucRanker(self.steps[:k])
-
-    @property
-    def last_direction(self) -> Direction:
-        return self.steps[-1].direction
-
     def __str__(self) -> str:
-        return "".join(str(s) for s in self.steps)
+        return "".join(_bracketed(s) for s in self.steps)
 
 
-AnyRanker = Union[Ranker, SucRanker]
+# Every ranker is a Ranker; the name stays for callers typed over both signatures.
+AnyRanker = Ranker
 
 _DIR_ORDER = {Direction.RIGHT: 0, Direction.LEFT: 1}
 
 
-def sort_key(r: AnyRanker):
-    """Deterministic order: by length, then step-wise by direction then letters."""
-    if isinstance(r, Ranker):
-        steps = tuple((_DIR_ORDER[s.direction], "", s.letter, "") for s in r.steps)
-    else:
-        steps = tuple((_DIR_ORDER[s.direction], s.before, s.letter, s.after) for s in r.steps)
+def sort_key(r: Ranker):
+    """Deterministic order: by length, then step-wise by direction then window."""
+    steps = tuple((_DIR_ORDER[s.direction], s.before, s.letter, s.after) for s in r.steps)
     return (len(r), steps)
 
 
-def alternation_blocks(r: AnyRanker) -> int:
+def alternation_blocks(r: Ranker) -> int:
     """Number of maximal runs of equal direction in the ranker's step sequence."""
-    count = 1
-    steps = list(r)
-    for a, b in zip(steps, steps[1:]):
-        if a.direction != b.direction:
-            count += 1
-    return count
+    steps = r.steps
+    return 1 + sum(a.direction is not b.direction for a, b in zip(steps, steps[1:]))
 
 
 def eval_boundary(p: BoundaryPos, w: Word, start: int | None = None) -> int | None:
-    """Position of the step on w, optionally strictly beyond `start`; None when absent."""
-    text = w.text
-    if p.direction is Direction.RIGHT:
-        lo = start if start is not None else 0
-        idx = text.find(p.letter, lo)  # 0-based scan from position start+1
-        return idx + 1 if idx >= 0 else None
-    hi = (start - 1) if start is not None else len(text)
-    idx = text.rfind(p.letter, 0, hi)
-    return idx + 1 if idx >= 0 else None
+    """Position of the first/last window match on w, strictly beyond `start`
+    when given; None when absent."""
+    window = p.before + p.letter + p.after
+    return _match(w.text, p.direction, window, len(p.before), len(p.after), start)
+
+
+def _match(
+    text: str, direction: Direction, window: str, k: int, ell: int, start: int | None
+) -> int | None:
+    # the window's letter sits k characters into it; a match must lie
+    # strictly right (left) of `start`, with the whole window inside text
+    if direction is Direction.RIGHT:
+        idx = text.find(window, 0 if start is None else max(0, start - k))
+    else:
+        idx = text.rfind(window, 0, len(text) if start is None else start - 1 + ell)
+    return idx + k + 1 if idx >= 0 else None
 
 
 def eval_ranker(r: Ranker, w: Word) -> int | None:
     """Fold the steps left to right; None as soon as a step has no occurrence."""
     pos: int | None = None
-    for i, step in enumerate(r.steps):
-        pos = eval_boundary(step, w, None if i == 0 else pos)
+    for step in r.steps:
+        pos = eval_boundary(step, w, pos)
         if pos is None:
             return None
     return pos
 
 
-def eval_suc_boundary(p: NeighborhoodBoundaryPos, w: Word, start: int | None = None) -> int | None:
-    """Position of the first/last full window match, optionally strictly beyond `start`."""
-    text = w.text
-    k, ell = len(p.before), len(p.after)
-    window = p.before + p.letter + p.after
-    lo = k + 1
-    hi = len(text) - ell
-    if p.direction is Direction.RIGHT:
-        if start is not None:
-            lo = max(lo, start + 1)
-        rng: Iterable[int] = range(lo, hi + 1)
-    else:
-        if start is not None:
-            hi = min(hi, start - 1)
-        rng = range(hi, lo - 1, -1)
-    for i in rng:
-        if text[i - k - 1 : i + ell] == window:
-            return i
-    return None
-
-
-def eval_suc_ranker(r: SucRanker, w: Word) -> int | None:
-    pos: int | None = None
-    for i, step in enumerate(r.steps):
-        pos = eval_suc_boundary(step, w, None if i == 0 else pos)
-        if pos is None:
-            return None
-    return pos
-
-
-def evaluate(r: AnyRanker, w: Word) -> int | None:
-    return eval_ranker(r, w) if isinstance(r, Ranker) else eval_suc_ranker(r, w)
+# One evaluator serves both signatures; the successor names are aliases.
+eval_suc_boundary = eval_boundary
+eval_suc_ranker = eval_ranker
+evaluate = eval_ranker
 
 
 @dataclass(frozen=True)
 class RealizedSet:
-    """All rankers of a family that are defined on one fixed word, with their positions."""
+    """All rankers of a family that are defined on one fixed word, with their positions.
+
+    `positions` lists the rankers in `sort_key` order, as the enumerator
+    builds them.
+    """
 
     word: Word
-    positions: Mapping[AnyRanker, int]
+    positions: Mapping[Ranker, int]
 
     def __len__(self) -> int:
         return len(self.positions)
 
-    def __contains__(self, r: AnyRanker) -> bool:
+    def __contains__(self, r: Ranker) -> bool:
         return r in self.positions
 
-    def __getitem__(self, r: AnyRanker) -> int:
+    def __getitem__(self, r: Ranker) -> int:
         return self.positions[r]
 
-    def rankers(self) -> list[AnyRanker]:
-        return sorted(self.positions, key=sort_key)
+    def rankers(self) -> list[Ranker]:
+        return list(self.positions)
+
+    @functools.cached_property
+    def blocks(self) -> list[int]:
+        """`alternation_blocks` of each ranker, in `positions` order."""
+        return [alternation_blocks(r) for r in self.positions]
 
     def select(
         self,
@@ -229,7 +195,7 @@ class RealizedSet:
         blocks: int | None = None,
         max_blocks: int | None = None,
         last_direction: Direction | None = None,
-    ) -> list[tuple[AnyRanker, int]]:
+    ) -> list[tuple[Ranker, int]]:
         """Filtered (ranker, position) pairs in deterministic order.
 
         `length`/`blocks` filter exactly; `max_length`/`max_blocks` filter by
@@ -237,20 +203,83 @@ class RealizedSet:
         quantify over exact and cumulative families.
         """
         out = []
-        for r in self.rankers():
+        by_blocks = blocks is not None or max_blocks is not None
+        for i, (r, p) in enumerate(self.positions.items()):
             if length is not None and len(r) != length:
                 continue
             if max_length is not None and len(r) > max_length:
                 continue
-            b = alternation_blocks(r)
-            if blocks is not None and b != blocks:
-                continue
-            if max_blocks is not None and b > max_blocks:
-                continue
+            if by_blocks:
+                b = self.blocks[i]
+                if blocks is not None and b != blocks:
+                    continue
+                if max_blocks is not None and b > max_blocks:
+                    continue
             if last_direction is not None and r.last_direction is not last_direction:
                 continue
-            out.append((r, self.positions[r]))
+            out.append((r, p))
         return out
+
+
+def _windows(text: str, width: int) -> list[tuple[str, str, str]]:
+    """The (before, letter, after) windows occurring in text, each side at
+    most `width` letters, sorted.
+
+    A window that does not occur in the word is undefined everywhere on it,
+    so harvesting from the word loses nothing.
+    """
+    return sorted({
+        (text[i - k : i], text[i], text[i + 1 : i + 1 + ell])
+        for k in range(width + 1)
+        for ell in range(width + 1)
+        for i in range(k, len(text) - ell)
+    })
+
+
+def _realize(w: Word, n: int, alt_bound: int | None, cap: int, successor: bool) -> RealizedSet:
+    """All rankers of length <= n (and <= alt_bound direction blocks) defined on w.
+
+    Breadth-first: only rankers whose prefix is defined are extended, since
+    an undefined prefix makes every extension undefined. Each depth extends
+    the previous depth's rankers in order by candidate steps sorted as
+    `sort_key` sorts steps, so the rankers come out in `sort_key` order.
+    The i-th step's windows are at most i-1 wide with successor, empty without.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if alt_bound is not None and alt_bound < 1:
+        raise ValueError("alt_bound must be >= 1 when given")
+    make = SucRanker if successor else Ranker
+    text = w.text
+    found: dict[Ranker, int] = {}
+    # (steps, position of the last step, direction blocks)
+    frontier: list[tuple[tuple[BoundaryPos, ...], int | None, int]] = [((), None, 0)]
+    for depth in range(1, n + 1):
+        if depth == 1 or successor:
+            # (step, direction, window, before width, after width)
+            candidates = [
+                (BoundaryPos(direction, letter, before, after), direction,
+                 before + letter + after, len(before), len(after))
+                for direction in (Direction.RIGHT, Direction.LEFT)
+                for before, letter, after in _windows(text, depth - 1 if successor else 0)
+            ]
+        next_frontier = []
+        for steps, pos, blocks in frontier:
+            last = steps[-1].direction if steps else None
+            for step, direction, window, k, ell in candidates:
+                b = blocks + (direction is not last)
+                if alt_bound is not None and b > alt_bound:
+                    continue
+                new_pos = _match(text, direction, window, k, ell, pos)
+                if new_pos is None:
+                    continue
+                new_steps = steps + (step,)
+                found[make(new_steps)] = new_pos
+                if len(found) > cap:
+                    raise EnumerationCapError(cap, len(w))
+                next_frontier.append((new_steps, new_pos, b))
+        frontier = next_frontier
+    return RealizedSet(w, found)
 
 
 def realized_rankers(
@@ -259,55 +288,8 @@ def realized_rankers(
     alt_bound: int | None = None,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> RealizedSet:
-    """All plain rankers of length <= n (and <= alt_bound direction blocks) defined on w.
-
-    Grows rankers incrementally: only rankers whose prefix is defined are
-    extended, since an undefined prefix makes every extension undefined.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if alt_bound is not None and alt_bound < 1:
-        raise ValueError("alt_bound must be >= 1 when given")
-    found: dict[AnyRanker, int] = {}
-    frontier: list[tuple[tuple[BoundaryPos, ...], int]] = [((), 0)]
-    for _ in range(n):
-        next_frontier = []
-        for steps, pos in frontier:
-            for direction in (Direction.RIGHT, Direction.LEFT):
-                for letter in w.alphabet:
-                    step = BoundaryPos(direction, letter)
-                    new_steps = steps + (step,)
-                    if alt_bound is not None:
-                        r = Ranker(new_steps)
-                        if alternation_blocks(r) > alt_bound:
-                            continue
-                    new_pos = eval_boundary(step, w, pos if steps else None)
-                    if new_pos is None:
-                        continue
-                    ranker = Ranker(new_steps)
-                    found[ranker] = new_pos
-                    if len(found) > cap:
-                        raise EnumerationCapError(cap, len(w))
-                    next_frontier.append((new_steps, new_pos))
-        frontier = next_frontier
-    return RealizedSet(w, found)
-
-
-def _window_candidates(w: Word, max_k: int, max_ell: int) -> dict[tuple[int, int], set[tuple[str, str, str]]]:
-    """Windows actually occurring in w, grouped by (before, after) widths.
-
-    Non-occurring windows are undefined everywhere on w, so harvesting from
-    the word itself loses nothing and avoids enumerating all letter tuples.
-    """
-    text = w.text
-    out: dict[tuple[int, int], set[tuple[str, str, str]]] = {}
-    for k in range(max_k + 1):
-        for ell in range(max_ell + 1):
-            triples = set()
-            for i in range(k + 1, len(text) - ell + 1):
-                triples.add((text[i - k - 1 : i - 1], text[i - 1], text[i : i + ell]))
-            out[(k, ell)] = triples
-    return out
+    """All plain rankers of length <= n (and <= alt_bound direction blocks) defined on w."""
+    return _realize(w, n, alt_bound, cap, successor=False)
 
 
 def realized_suc_rankers(
@@ -317,53 +299,19 @@ def realized_suc_rankers(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> RealizedSet:
     """All successor rankers of length <= n defined on w, windows harvested from w."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if alt_bound is not None and alt_bound < 1:
-        raise ValueError("alt_bound must be >= 1 when given")
-    windows = _window_candidates(w, n - 1, n - 1)
-    found: dict[AnyRanker, int] = {}
-    frontier: list[tuple[tuple[NeighborhoodBoundaryPos, ...], int]] = [((), 0)]
-    for depth in range(1, n + 1):
-        next_frontier = []
-        candidates = []
-        for k in range(depth):
-            for ell in range(depth):
-                for before, letter, after in sorted(windows[(k, ell)]):
-                    for direction in (Direction.RIGHT, Direction.LEFT):
-                        candidates.append(NeighborhoodBoundaryPos(direction, before, letter, after))
-        for steps, pos in frontier:
-            for step in candidates:
-                new_steps = steps + (step,)
-                if alt_bound is not None:
-                    r = SucRanker(new_steps)
-                    if alternation_blocks(r) > alt_bound:
-                        continue
-                new_pos = eval_suc_boundary(step, w, pos if steps else None)
-                if new_pos is None:
-                    continue
-                ranker = SucRanker(new_steps)
-                found[ranker] = new_pos
-                if len(found) > cap:
-                    raise EnumerationCapError(cap, len(w))
-                next_frontier.append((new_steps, new_pos))
-        frontier = next_frontier
-    return RealizedSet(w, found)
+    return _realize(w, n, alt_bound, cap, successor=True)
 
 
-# Small process-wide caches: realized sets are immutable and the equivalence
+# A small process-wide cache: realized sets are immutable and the equivalence
 # sweeps revisit the same words many times.
 @functools.lru_cache(maxsize=8192)
-def _cached_realized(w: Word, n: int) -> RealizedSet:
-    return realized_rankers(w, n)
+def _cached_realized(w: Word, n: int, successor: bool) -> RealizedSet:
+    # through the public names, so that a wrapper installed on them (as the
+    # benchmark's tracer does) sees every miss
+    return (realized_suc_rankers if successor else realized_rankers)(w, n)
 
 
-@functools.lru_cache(maxsize=8192)
-def _cached_realized_suc(w: Word, n: int) -> RealizedSet:
-    return realized_suc_rankers(w, n)
-
-
-def parse_ranker(text: str, alphabet: Alphabet | None = None) -> AnyRanker:
+def parse_ranker(text: str, alphabet: Alphabet | None = None) -> Ranker:
     """Parse the ASCII ranker syntax.
 
     Plain steps are `>a` / `<b`; successor steps are `>[before|letter|after]`
@@ -371,7 +319,7 @@ def parse_ranker(text: str, alphabet: Alphabet | None = None) -> AnyRanker:
     a successor ranker, with plain steps promoted to empty windows.
     """
     i = 0
-    steps: list[tuple[Direction, str, str, str]] = []
+    steps: list[BoundaryPos] = []
     any_window = False
     while i < len(text):
         c = text[i]
@@ -394,35 +342,27 @@ def parse_ranker(text: str, alphabet: Alphabet | None = None) -> AnyRanker:
             before, letter, after = parts
             if len(letter) != 1:
                 raise ValueError(f"window centre must be a single letter, got {letter!r}")
-            steps.append((direction, before, letter, after))
+            steps.append(BoundaryPos(direction, letter, before, after))
             any_window = True
             i = end + 1
         else:
-            steps.append((direction, "", text[i], ""))
+            steps.append(BoundaryPos(direction, text[i]))
             i += 1
     if not steps:
         raise ValueError("empty ranker")
     if alphabet is not None:
-        for _, before, letter, after in steps:
-            for ch in before + letter + after:
+        for step in steps:
+            for ch in step.before + step.letter + step.after:
                 if ch not in alphabet:
                     raise ValueError(f"letter {ch!r} not in alphabet {alphabet}")
-    if any_window:
-        return SucRanker(tuple(NeighborhoodBoundaryPos(d, b, c, a) for d, b, c, a in steps))
-    return Ranker(tuple(BoundaryPos(d, c) for d, _, c, _ in steps))
+    return (SucRanker if any_window else Ranker)(tuple(steps))
 
 
-def render_ranker(r: AnyRanker) -> str:
+def render_ranker(r: Ranker) -> str:
     """Inverse of parse_ranker up to structural identity."""
     return str(r)
 
 
-def ranker_letters(r: AnyRanker) -> set[str]:
+def ranker_letters(r: Ranker) -> set[str]:
     """Every letter the ranker mentions (including window letters)."""
-    out: set[str] = set()
-    for step in r:
-        if isinstance(step, BoundaryPos):
-            out.add(step.letter)
-        else:
-            out.update(step.before + step.letter + step.after)
-    return out
+    return {ch for step in r.steps for ch in step.before + step.letter + step.after}

@@ -65,23 +65,22 @@ def _left_partition(text: str) -> tuple[list[str], list[tuple[int, int]], str]:
     missing letter. Returns (pieces, run intervals as 0-based [start, end),
     tail). The tail uses strictly fewer distinct letters than text.
     """
-    k = len(set(text))
+    letters = set(text)
     pieces: list[str] = []
     runs: list[tuple[int, int]] = []
     pos = 0
     while True:
-        suffix = text[pos:]
-        if len(set(suffix)) < k:
-            return pieces, runs, suffix
-        first_at = {c: suffix.index(c) for c in set(suffix)}
-        late_letter = max(first_at, key=lambda c: first_at[c])
-        f = first_at[late_letter]
+        # one find per letter: the scan is O(k * len(text)) in total
+        firsts = [text.find(c, pos) for c in letters]
+        if min(firsts) < 0:
+            return pieces, runs, text[pos:]
+        f = max(firsts)
         end = f
-        while end < len(suffix) and suffix[end] == late_letter:
+        while end < len(text) and text[end] == text[f]:
             end += 1
-        pieces.append(suffix[:f])
-        runs.append((pos + f, pos + end))
-        pos += end
+        pieces.append(text[pos:f])
+        runs.append((f, end))
+        pos = end
 
 
 def _right_partition(text: str) -> tuple[list[str], list[tuple[int, int]], str]:

@@ -183,6 +183,14 @@ def test_resource_cap_exit_code(capsys):
     assert "error[resource-cap]" in err
 
 
+def test_verify_hierarchy_over_game_cap_exits_2(capsys):
+    # the level's game is far over the cell cap; it must fail fast and cleanly
+    code, out, err = run(capsys, "verify-hierarchy", "-m", "3", "-n", "3", "--suc")
+    assert code == 2
+    assert "error[resource-cap]" in err
+    assert "Traceback" not in err and out == ""
+
+
 def test_stdin_and_file_inputs(tmp_path, capsys, monkeypatch):
     word_file = tmp_path / "word.txt"
     word_file.write_text("cababcba\n")

@@ -231,3 +231,23 @@ def test_resource_cap():
     u = W("ab" * 40)
     with pytest.raises(GameResourceError):
         game_equiv(u, u, 3, cap=1000)
+
+
+def test_cap_is_checked_before_any_table_is_built():
+    import tracemalloc
+
+    u, v = W("ab" * 30), W("ab" * 29 + "a")
+    tracemalloc.start()
+    try:
+        with pytest.raises(GameResourceError):
+            game_equiv(u, v, 2, cap=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    # games in which Samson never moves need no table at all
+    long_u, long_v = W("ab" * 150), W("ba" * 150)
+    assert game_equiv(long_u, long_v, 0, cap=1000).delilah_wins is True
+    assert game_equiv_alt(long_u, long_v, 0, 3, cap=1000).delilah_wins is True
+    verdict = game_equiv_general(long_u, 1, 2, long_v, 1, 2, 3, m=0, cap=1000)
+    assert verdict.delilah_wins is False and verdict.first_winning_samson_move is None

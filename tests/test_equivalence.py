@@ -5,6 +5,7 @@ import pytest
 from fo2words import (
     Alphabet,
     AlphabetMismatchError,
+    Direction,
     FailedCondition,
     Word,
     all_words,
@@ -14,8 +15,12 @@ from fo2words import (
     game_equiv_alt,
     ranker_equiv,
     ranker_equiv_alt,
+    realized_rankers,
+    realized_suc_rankers,
+    render_ranker,
     suc_ranker_equiv,
     suc_ranker_equiv_alt,
+    witness_words_suc,
 )
 
 AB = Alphabet(("a", "b"))
@@ -182,3 +187,85 @@ def test_alphabet_collapse_examples():
     for _ in range(200):
         u, v = rng.choice(pool), rng.choice(pool)
         assert alphabet_collapse_check(u, v, rng.randint(1, 3))
+
+
+def _reference_report(u, v, n, m, successor):
+    """The deciders' conditions checked pair by pair, as a JSON report.
+
+    Rows are the common rankers in canonical order; the first row that
+    compares differently on u and v with some column, and its first such
+    column, are the witnesses.
+    """
+    realize = realized_suc_rankers if successor else realized_rankers
+    ru, rv = dict(realize(u, n).positions), dict(realize(v, n).positions)
+
+    def key(r):
+        return (len(r), [(s.direction is Direction.LEFT, s.before, s.letter, s.after) for s in r.steps])
+
+    def blocks(r):
+        return 1 + sum(a.direction is not b.direction for a, b in zip(r.steps, r.steps[1:]))
+
+    def see(d):
+        return max(-2, min(2, d)) if successor else (d > 0) - (d < 0)
+
+    def entry(r):
+        return {"ranker": render_ranker(r), "posU": ru.get(r), "posV": rv.get(r)}
+
+    def report(condition, witnesses):
+        return {"n": n, "m": m, "signature": "order+successor" if successor else "order",
+                "verdict": not witnesses, "failedCondition": condition, "witnesses": witnesses}
+
+    fam_u = {r for r in ru if m is None or blocks(r) <= m}
+    fam_v = {r for r in rv if m is None or blocks(r) <= m}
+    if fam_u != fam_v:
+        return report("definedness", [entry(min(fam_u ^ fam_v, key=key))])
+    common = sorted(fam_u, key=key)
+    conditions = [("order", lambda r, c: len(c) < n and (m is None or blocks(c) < m))]
+    if m is not None:
+        conditions.append(
+            ("cross-direction", lambda r, c: len(c) < n and r.last_direction is not c.last_direction)
+        )
+    for condition, is_column in conditions:
+        for r in common:
+            for c in common:
+                if is_column(r, c) and see(ru[r] - ru[c]) != see(rv[r] - rv[c]):
+                    return report(condition, [entry(r), entry(c)])
+    return report("none", [])
+
+
+def test_reports_match_pairwise_reference():
+    # Pairs that fail definedness are sampled; every other case is compared.
+    rng = random.Random(41)
+    corpus = list(all_words(AB, 5)) + list(all_words(Alphabet(("a", "b", "c")), 3))
+    cases = [(n, m, False) for n in (1, 2, 3) for m in (None, 1, 2)]
+    cases += [(n, m, True) for n in (1, 2) for m in (None, 1, 2)]
+    compared = set()
+    for u in corpus:
+        for v in corpus:
+            if u.alphabet != v.alphabet:
+                continue
+            for n, m, successor in cases:
+                if successor:
+                    got = suc_ranker_equiv(u, v, n) if m is None else suc_ranker_equiv_alt(u, v, m, n)
+                else:
+                    got = ranker_equiv(u, v, n) if m is None else ranker_equiv_alt(u, v, m, n)
+                if got.failed_condition is FailedCondition.DEFINEDNESS and rng.random() > 0.05:
+                    continue
+                assert got.to_json_dict() == _reference_report(u, v, n, m, successor), (u, v, n, m)
+                compared.add(got.failed_condition)
+    assert compared == set(FailedCondition)
+
+
+def test_large_successor_check_stays_small():
+    # about 45k common rankers: a pairwise table would not fit in memory
+    import tracemalloc
+
+    pair = witness_words_suc(3, 3)
+    tracemalloc.start()
+    try:
+        report = suc_ranker_equiv_alt(pair.u, pair.v, 2, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict is True
+    assert peak < 300_000_000

@@ -74,6 +74,41 @@ def test_partition_reconstructs_word():
         assert rebuilt == text
 
 
+def _left_partition_reference(text):
+    """The original quadratic scan, kept to check the linear one against."""
+    k = len(set(text))
+    pieces, runs = [], []
+    pos = 0
+    while True:
+        suffix = text[pos:]
+        if len(set(suffix)) < k:
+            return pieces, runs, suffix
+        first_at = {c: suffix.index(c) for c in set(suffix)}
+        late_letter = max(first_at, key=lambda c: first_at[c])
+        f = first_at[late_letter]
+        end = f
+        while end < len(suffix) and suffix[end] == late_letter:
+            end += 1
+        pieces.append(suffix[:f])
+        runs.append((pos + f, pos + end))
+        pos += end
+
+
+def test_partitions_match_reference_scan():
+    rng = random.Random(61)
+    for _ in range(2000):
+        letters = "abcd"[: rng.randint(1, 4)]
+        text = "".join(rng.choice(letters) for _ in range(rng.randint(1, 40)))
+        assert _left_partition(text) == _left_partition_reference(text)
+        pieces, runs, tail = _left_partition_reference(text[::-1])
+        mirrored = (
+            [p[::-1] for p in pieces],
+            [(len(text) - e, len(text) - s) for s, e in runs],
+            tail[::-1],
+        )
+        assert _right_partition(text) == mirrored
+
+
 def test_shrink_preserves_equivalence_sample():
     rng = random.Random(71)
     for _ in range(60):
