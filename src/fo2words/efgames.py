@@ -1,26 +1,38 @@
-"""Brute-force two-pebble Ehrenfeucht-Fraisse game solver.
+"""Two-pebble Ehrenfeucht-Fraisse game solver on pair relations.
 
 The solver decides who wins the n-move two-pebble game between Samson
 (spoiler) and Delilah (duplicator), optionally limiting how often Samson
 may change the word he plays on, and optionally reading positions through
 the successor-aware order comparison.
 
-A configuration is the tuple of pebble positions (x_u, y_u, x_v, y_v)
-with 0 standing for "pebble pair not placed". For each (remaining moves,
-remaining switch budget, side of the previous move) the solver fills one
-boolean table over all configurations, bottom-up by remaining moves; the
-tables are the memo of an exact search. Only two consecutive move levels
-are kept live, and their total size is checked against a configurable cap
-so blowup surfaces as an error rather than an approximation.
+The game state factorizes over the two pebble pairs. With k moves left,
+Delilah wins from (x_u, y_u; x_v, y_v) iff the placement is a partial
+isomorphism and a one-pair relation M_k holds of (x_u, x_v) and of
+(y_u, y_v). M_0 is letter equality. A move level intersects M_{k-1} with
+the pairs (i, j) from which every Samson move p on one word has an answer
+q with (p, q) in M_{k-1} and q placed relative to j as p is relative to i.
+For the order that set is an interval of j in every row i: the moves
+p < i need j above the first answer of each row p < i, and the moves
+p > i need j below the last answer of each row p > i. With successor the
+neighbours i-1 and i+1 are checked bit by bit, and the far ranges start
+at i-2 and i+2. A move on v is the same computation on the transposed
+relation. An alternation budget keeps one relation per (budget, side of
+the previous move) and intersects the same-side move with the other-side
+move at budget-1.
+
+A relation is a list of |u| Python ints, one row per position i of u,
+with bit j-1 set when (i, j) is in the relation. Only two consecutive move
+levels are kept live; their cells, (|u|+1)(|v|+1) per relation, are
+checked against a cap before any relation is built, so blowup surfaces as
+an error rather than an approximation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Optional
-
-import numpy as np
 
 from .errors import GameResourceError
 from .words import Word, order_type, suc_order_type
@@ -80,65 +92,56 @@ def partial_iso(c: GameConfig) -> bool:
     return True
 
 
-def _iso_table(u: Word, v: Word, with_successor: bool) -> np.ndarray:
-    lu, lv = len(u), len(v)
-    cu = np.array([0] + [ord(ch) for ch in u.text], dtype=np.int32)
-    cv = np.array([0] + [ord(ch) for ch in v.text], dtype=np.int32)
-    placed_u = np.arange(lu + 1) > 0
-    placed_v = np.arange(lv + 1) > 0
-    pair_ok = (placed_u[:, None] == placed_v[None, :]) & (
-        ~placed_u[:, None] | (cu[:, None] == cv[None, :])
-    )
-    iu = np.arange(lu + 1)
-    iv = np.arange(lv + 1)
-    du = iu[:, None] - iu[None, :]
-    dv = iv[:, None] - iv[None, :]
-    if with_successor:
-        ou = np.clip(du, -2, 2)
-        ov = np.clip(dv, -2, 2)
-    else:
-        ou = np.sign(du)
-        ov = np.sign(dv)
-    both_u = placed_u[:, None] & placed_u[None, :]
-    order_ok = ~both_u[:, :, None, None] | (ou[:, :, None, None] == ov[None, None, :, :])
-    return pair_ok[:, None, :, None] & pair_ok[None, :, None, :] & order_ok
+def _transpose(rows: list[int], width: int) -> list[int]:
+    """The relation with the two words swapped: `width` rows of len(rows) bits."""
+    if not rows or not width:
+        return [0] * width
+    bits = [format(row, f"0{width}b") for row in rows]  # most significant bit first
+    return [int("".join(col)[::-1], 2) for col in zip(*bits)][::-1]
+
+
+def _answered(rows: list[int], width: int, successor: bool) -> list[int]:
+    """The pairs (i, j) from which every move p != i on the row word has an
+    answer q with (p, q) in `rows` and q placed relative to j as p is to i.
+
+    The move p = i needs (i, j) itself in `rows`; callers intersect with it.
+    """
+    gap = 2 if successor else 1
+    n = len(rows)
+    # an empty row's first answer lies past the last bit and its last one
+    # before bit 0, so no j passes it
+    max_first = list(accumulate(((r & -r).bit_length() - 1 if r else width for r in rows), max))
+    min_last = list(accumulate((r.bit_length() - 1 for r in reversed(rows)), min))[::-1]
+    out = []
+    for i, row in enumerate(rows):
+        lo = max_first[i - gap] + gap if i >= gap else 0
+        hi = min_last[i + gap] - gap if i + gap < n else width - 1
+        mask = (1 << (hi + 1)) - (1 << lo) if lo <= hi else 0
+        if successor:
+            if i >= 1:
+                mask &= rows[i - 1] << 1
+            if i + 1 < n:
+                mask &= rows[i + 1] >> 1
+        out.append(mask)
+    return out
 
 
 class _Solver:
-    """One game instance: fixed words, fixed comparison, shared tables."""
+    """One game instance: fixed words, fixed comparison."""
 
     def __init__(self, u: Word, v: Word, with_successor: bool, cap: int):
         self.u, self.v = u, v
         self.lu, self.lv = len(u), len(v)
         self.with_successor = with_successor
         self.cap = cap
-        self.table_size = (self.lu + 1) ** 2 * (self.lv + 1) ** 2
-        self.iso: Optional[np.ndarray] = None  # built once the cap check has passed
 
-    def _check_cap(self, live_tables: int):
-        needed = live_tables * self.table_size
+    def _check_cap(self, live_relations: int):
+        needed = live_relations * (self.lu + 1) * (self.lv + 1)
         if needed > self.cap:
             raise GameResourceError(needed, self.cap)
 
-    @staticmethod
-    def _move_masks_u(child: np.ndarray) -> np.ndarray:
-        # Samson places x or y on u, Delilah answers on v.
-        a = child[1:, :, 1:, :]
-        m_x = a.any(axis=2).all(axis=0)  # over (i2, j2)
-        b = child[:, 1:, :, 1:]
-        m_y = b.any(axis=3).all(axis=1)  # over (i1, j1)
-        return m_x[None, :, None, :] & m_y[:, None, :, None]
-
-    @staticmethod
-    def _move_masks_v(child: np.ndarray) -> np.ndarray:
-        a = child[1:, :, 1:, :]
-        m_x = a.any(axis=0).all(axis=1)
-        b = child[:, 1:, :, 1:]
-        m_y = b.any(axis=1).all(axis=2)
-        return m_x[None, :, None, :] & m_y[:, None, :, None]
-
     def _levels_needed(self, n: int, budget: Optional[int], sides: list[Side]) -> list[set]:
-        """Which (budget, last-side) tables each move level requires."""
+        """Which (budget, last-side) relations each move level requires."""
         if n == 0:
             return []
         needed = [set() for _ in range(n)]
@@ -154,39 +157,42 @@ class _Solver:
                     needed[d - 1].add((b - 1, Side.V if last is Side.U else Side.U))
         return needed
 
-    def level_tables(self, n: int, budget: Optional[int], sides: list[Side]) -> dict:
-        """Tables for the last move level (remaining depth n-1), built bottom-up."""
-        if n == 0:
-            return {}
+    def level_relations(self, n: int, budget: Optional[int], sides: list[Side]) -> dict:
+        """Relations for the last move level (n-1 moves left), built bottom-up."""
         needed = self._levels_needed(n, budget, sides)
         max_live = max(
             (len(needed[d]) + (len(needed[d - 1]) if d else 1) for d in range(n)),
             default=1,
         )
-        self._check_cap(max_live + 1)  # + the iso table
-        self.iso = _iso_table(self.u, self.v, self.with_successor)
-        prev = {key: self.iso for key in needed[0]}
+        self._check_cap(max_live + 1)  # + letter equality
+        letter_masks: dict[str, int] = {}
+        for j, ch in enumerate(self.v.text):
+            letter_masks[ch] = letter_masks.get(ch, 0) | 1 << j
+        letters = [letter_masks.get(ch, 0) for ch in self.u.text]
+        prev = {key: letters for key in needed[0]}
         for d in range(1, n):
-            cur = {}
-            for b, last in needed[d]:
-                cur[(b, last)] = self._build(prev, b, last)
-            prev = cur
+            prev = {key: self._build(prev, *key) for key in needed[d]}
         return prev
 
-    def _build(self, prev: dict, budget: Optional[int], last: Optional[Side]) -> np.ndarray:
-        w = self.iso
+    def _answered_on(self, rows: list[int], side: Side) -> list[int]:
+        if side is Side.U:
+            return _answered(rows, self.lv, self.with_successor)
+        moved = _answered(_transpose(rows, self.lv), self.lu, self.with_successor)
+        return _transpose(moved, self.lu)
+
+    def _build(self, prev: dict, budget: Optional[int], last: Optional[Side]) -> list[int]:
         if budget is None:
             child = prev[(None, None)]
-            return w & self._move_masks_u(child) & self._move_masks_v(child)
-        if last is Side.U:
-            w = w & self._move_masks_u(prev[(budget, Side.U)])
-            if budget >= 1:
-                w = w & self._move_masks_v(prev[(budget - 1, Side.V)])
+            moves = [(Side.U, child), (Side.V, child)]
         else:
-            w = w & self._move_masks_v(prev[(budget, Side.V)])
+            other = Side.V if last is Side.U else Side.U
+            moves = [(last, prev[(budget, last)])]
             if budget >= 1:
-                w = w & self._move_masks_u(prev[(budget - 1, Side.U)])
-        return w
+                moves.append((other, prev[(budget - 1, other)]))
+        rows = moves[0][1]
+        for side, child in moves:
+            rows = [r & c & a for r, c, a in zip(rows, child, self._answered_on(child, side))]
+        return rows
 
     def solve(
         self,
@@ -204,24 +210,13 @@ class _Solver:
             return GameVerdict(False, self._first_legal_move(sides) if movable else None)
         if n == 0 or samson_frozen:
             return GameVerdict(True)
-        level = self.level_tables(n, budget, sides)
-        wins = True
+        level = self.level_relations(n, budget, sides)
         for side in sides:
             child = level[(budget, side) if budget is not None else (None, None)]
-            if side is Side.U:
-                ok = bool(
-                    child[1:, i2, 1:, j2].any(axis=1).all()
-                    and child[i1, 1:, j1, 1:].any(axis=1).all()
-                )
-            else:
-                ok = bool(
-                    child[1:, i2, 1:, j2].any(axis=0).all()
-                    and child[i1, 1:, j1, 1:].any(axis=0).all()
-                )
-            wins = wins and ok
-        if wins:
-            return GameVerdict(True)
-        return GameVerdict(False, self._first_winning_move(level, budget, start, sides))
+            move = self._first_unanswered(child, side, start)
+            if move is not None:
+                return GameVerdict(False, (side, *move))
+        return GameVerdict(True)
 
     def _first_legal_move(self, sides: list[Side]) -> Optional[tuple[Side, str, int]]:
         # The start configuration is already lost for Delilah; any legal
@@ -232,32 +227,27 @@ class _Solver:
                 return (side, "x", 1)
         return None
 
-    def _first_winning_move(
-        self,
-        level: dict,
-        budget: Optional[int],
-        start: tuple[int, int, int, int],
-        sides: list[Side],
-    ) -> Optional[tuple[Side, str, int]]:
+    def _first_unanswered(
+        self, rows: list[int], side: Side, start: tuple[int, int, int, int]
+    ) -> Optional[tuple[str, int]]:
+        """Samson's first move on `side` that Delilah cannot answer within `rows`:
+        pebble x before y, then ascending position."""
         i1, i2, j1, j2 = start
-        for side in sides:
-            child = level[(budget, side) if budget is not None else (None, None)]
-            if side is Side.U:
-                for pebble, replies in (
-                    ("x", lambda p: child[p, i2, 1:, j2]),
-                    ("y", lambda p: child[i1, p, j1, 1:]),
-                ):
-                    for p in range(1, self.lu + 1):
-                        if not replies(p).any():
-                            return (side, pebble, p)
-            else:
-                for pebble, replies in (
-                    ("x", lambda q: child[1:, i2, q, j2]),
-                    ("y", lambda q: child[i1, 1:, j1, q]),
-                ):
-                    for q in range(1, self.lv + 1):
-                        if not replies(q).any():
-                            return (side, pebble, q)
+        width = self.lv
+        if side is Side.V:
+            rows, width = _transpose(rows, self.lv), self.lu
+            i1, i2, j1, j2 = j1, j2, i1, i2
+        cmp = suc_order_type if self.with_successor else order_type
+        for pebble, (i, j) in (("x", (i2, j2)), ("y", (i1, j1))):
+            # the other pebble pair stays on (i, j), which must itself stay in
+            # the relation; 0 means it is not placed
+            by_type: dict = {}
+            if i and rows[i - 1] >> (j - 1) & 1:
+                for q in range(1, width + 1):
+                    by_type[cmp(q, j)] = by_type.get(cmp(q, j), 0) | 1 << (q - 1)
+            for p, row in enumerate(rows, 1):
+                if not row & (by_type.get(cmp(p, i), 0) if i else -1):
+                    return (pebble, p)
         return None
 
 

@@ -140,7 +140,7 @@ def _match(
     if direction is Direction.RIGHT:
         idx = text.find(window, 0 if start is None else max(0, start - k))
     else:
-        idx = text.rfind(window, 0, len(text) if start is None else start - 1 + ell)
+        idx = text.rfind(window, 0, len(text) if start is None else max(0, start - 1 + ell))
     return idx + k + 1 if idx >= 0 else None
 
 

@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from fo2words.cli import main
 
-SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schema"
+REPO = Path(__file__).resolve().parents[1]
+SCHEMA_DIR = REPO / "schema"
 
 
 def run(capsys, *argv):
@@ -185,10 +189,18 @@ def test_resource_cap_exit_code(capsys):
 
 def test_verify_hierarchy_over_game_cap_exits_2(capsys):
     # the level's game is far over the cell cap; it must fail fast and cleanly
-    code, out, err = run(capsys, "verify-hierarchy", "-m", "3", "-n", "3", "--suc")
+    code, out, err = run(capsys, "verify-hierarchy", "-m", "5", "-n", "5", "--suc")
     assert code == 2
     assert "error[resource-cap]" in err
     assert "Traceback" not in err and out == ""
+
+
+def test_cli_imports_without_numpy():
+    # the library has no runtime dependency; only the tests' reference solver uses numpy
+    check = "import fo2words.cli, sys; assert 'numpy' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    result = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_stdin_and_file_inputs(tmp_path, capsys, monkeypatch):

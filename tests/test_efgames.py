@@ -14,10 +14,16 @@ from fo2words import (
     game_equiv_general,
     model_check,
     partial_iso,
+    ranker_equiv,
 )
+import game_reference as reference
 from helpers import random_sentence
 
 AB = Alphabet(("a", "b"))
+ABC = Alphabet(("a", "b", "c"))
+# the reference corpora: all pairs over {a,b} up to length 5 and over
+# {a,b,c} up to length 3
+CORPORA = {"ab5": (AB, 5), "abc3": (ABC, 3)}
 
 
 def W(text, alphabet=AB):
@@ -203,7 +209,8 @@ def test_free_start_decomposes_over_start_sides():
 
 
 def test_partial_iso_agrees_with_solver_tables():
-    from fo2words.efgames import _iso_table
+    # the reference solver's numpy comparator is independent of partial_iso
+    from game_reference import _iso_table
 
     rng = random.Random(78)
     words = list(all_words(AB, 4))
@@ -251,3 +258,60 @@ def test_cap_is_checked_before_any_table_is_built():
     assert game_equiv_alt(long_u, long_v, 0, 3, cap=1000).delilah_wins is True
     verdict = game_equiv_general(long_u, 1, 2, long_v, 1, 2, 3, m=0, cap=1000)
     assert verdict.delilah_wins is False and verdict.first_winning_samson_move is None
+
+
+@pytest.mark.parametrize("successor", [False, True], ids=["plain", "suc"])
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+def test_reports_match_reference_solver(corpus, successor):
+    # whole reports, Samson's first winning move included, against the 4-D solver
+    words = list(all_words(*CORPORA[corpus]))
+    for u in words:
+        for v in words:
+            for n in range(4):
+                got = game_equiv(u, v, n, with_successor=successor)
+                want = reference.game_equiv(u, v, n, with_successor=successor)
+                assert got.to_json_dict() == want.to_json_dict(), (u.text, v.text, n)
+                for m in range(n + 2):
+                    for start_side in (None, Side.U, Side.V):
+                        args = (u, v, m, n, successor, start_side)
+                        got = game_equiv_alt(*args)
+                        want = reference.game_equiv_alt(*args)
+                        assert got.to_json_dict() == want.to_json_dict(), (u.text, v.text, m, n, start_side)
+
+
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+def test_general_reports_match_reference_solver(corpus):
+    rng = random.Random(4321)
+    words = [w for w in all_words(*CORPORA[corpus]) if len(w)]
+    wins = 0
+    for _ in range(10_000):
+        u, v = rng.choice(words), rng.choice(words)
+        i1, i2 = rng.randint(1, len(u)), rng.randint(1, len(u))
+        j1, j2 = rng.randint(1, len(v)), rng.randint(1, len(v))
+        if rng.random() < 0.75:
+            # mostly starts that pass the letter check, so that moves are played
+            j1 = rng.choice([j for j in v.positions() if v.letter(j) == u.letter(i1)] or [j1])
+            j2 = rng.choice([j for j in v.positions() if v.letter(j) == u.letter(i2)] or [j2])
+        n = rng.randint(0, 3)
+        m = rng.choice([None, *range(n + 2)])
+        kwargs = dict(m=m, start_side=rng.choice([None, Side.U, Side.V]),
+                      with_successor=rng.random() < 0.5)
+        got = game_equiv_general(u, i1, i2, v, j1, j2, n, **kwargs)
+        want = reference.game_equiv_general(u, i1, i2, v, j1, j2, n, **kwargs)
+        assert got.to_json_dict() == want.to_json_dict(), (u.text, v.text, i1, i2, j1, j2, n, kwargs)
+        wins += got.delilah_wins
+    assert 1_000 < wins < 9_000
+
+
+def test_long_words_run_under_default_cap():
+    # (|u|+1)(|v|+1) cells per relation: n = 4 on 300-letter words fits the cap
+    rng = random.Random(300)
+    x, y = ("".join(rng.choice("ab") for _ in range(144)) for _ in range(2))
+    u, w = W(x + "b" + "a" * 10 + "b" + y), W("".join(rng.choice("ab") for _ in range(300)))
+    assert len(u) == len(w) == 300
+    # cutting a run of one letter down to 2n letters preserves ≡_n
+    assert game_equiv(u, W(x + "b" + "a" * 8 + "b" + y), 4).delilah_wins is True
+    verdict = game_equiv(u, w, 4)
+    assert verdict.delilah_wins is ranker_equiv(u, w, 4).verdict is False
+    assert verdict.first_winning_samson_move is not None
+    assert game_equiv(u, u, 4, with_successor=True).delilah_wins is True

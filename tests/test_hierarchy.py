@@ -152,8 +152,18 @@ def test_verify_hierarchy_level_successor():
     assert report.ranker_separation
 
 
+def test_levels_four_and_three_with_successor():
+    # games of (|u|+1)(|v|+1) cells per relation: |u| = 45 and |u| = 160
+    report = verify_hierarchy_level(4, 4)
+    assert report.ok and report.indist_game and report.indist_ranker
+    assert report.separation_depth is not None
+    report = verify_hierarchy_level(3, 3, Signature.ORDER_SUC)
+    assert report.ok and report.indist_game and report.indist_ranker
+    assert report.separation_depth is not None
+
+
 def test_level_four_by_rankers():
-    # beyond the game solver's comfortable range; the decider scales further
+    # the ranker decider on its own, without the game
     from fo2words import ranker_equiv_alt
 
     pair = witness_words(4, 4)

@@ -50,6 +50,14 @@ def test_eval_boundary_strictness():
     assert eval_boundary(BoundaryPos(L, "a"), w, start=1) is None
 
 
+def test_left_step_before_the_first_position():
+    # nothing lies strictly left of position 0, with or without a window
+    assert eval_boundary(BoundaryPos(L, "a"), W("aba"), start=0) is None
+    assert eval_boundary(BoundaryPos(L, "a", before="b"), W("abaa"), start=0) is None
+    assert eval_boundary(BoundaryPos(L, "a", after="b"), W("aba"), start=0) is None
+    assert eval_boundary(BoundaryPos(L, "a", before="b"), W("abaa"), start=4) == 3
+
+
 def test_eval_ranker_worked_values():
     r = parse_ranker(">a>c<b")
     assert eval_ranker(r, W("cababcba", ABC)) == 5
