@@ -11,8 +11,8 @@ Condition (a) is checked over the whole cumulative family first, which
 guarantees every ranker appearing in (b) and (c) is defined on both words.
 
 Conditions (b) and (c) compare every row ranker with a set of column rankers
-through the comparison the signature sees: the sign of the position
-difference, or with successor that difference clipped to [-2, 2]. Rather
+through the comparison the signature sees: `order_type`, or with successor
+`suc_order_type`, which also tells immediate neighbours apart. Rather
 than comparing every pair, the columns' positions are sorted once on each
 word and every row is checked by rank in O(log R), so the check takes
 O(R log R) time and O(R) memory. A failing row is then scanned against its
@@ -35,7 +35,7 @@ from .rankers import (
     render_ranker,
     sort_key,
 )
-from .words import Word
+from .words import Word, order_type, suc_order_type
 
 
 class FailedCondition(Enum):
@@ -73,13 +73,6 @@ class EquivReport:
             "failedCondition": self.failed_condition.value,
             "witnesses": [w.to_json_dict() for w in self.witnesses],
         }
-
-
-def _compare(d: int, successor: bool) -> int:
-    """What the signature sees of two positions d apart."""
-    if successor:
-        return max(-2, min(2, d))
-    return (d > 0) - (d < 0)
 
 
 class _Columns:
@@ -123,13 +116,11 @@ def _first_bad(
     """The first row, in order, that some column tells apart on u and v,
     with its first such column."""
     cuts = (-1, 0, 1, 2) if successor else (0, 1)
+    cmp = suc_order_type if successor else order_type
     for i, (x, y) in enumerate(zip(pos_u, pos_v)):
         columns = columns_of(i)
         if not columns.agree(x, y, cuts):
-            return i, next(
-                j for j in columns.cols
-                if _compare(x - pos_u[j], successor) != _compare(y - pos_v[j], successor)
-            )
+            return i, next(j for j in columns.cols if cmp(x, pos_u[j]) != cmp(y, pos_v[j]))
     return None
 
 

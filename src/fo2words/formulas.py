@@ -52,7 +52,9 @@ class LetterAtom(Formula):
 
 
 @dataclass(frozen=True)
-class Less(Formula):
+class _Relation(Formula):
+    """A binary atom between the two variables; the subclass names the relation."""
+
     left: str
     right: str
 
@@ -61,24 +63,18 @@ class Less(Formula):
         _check_var(self.right)
 
 
-@dataclass(frozen=True)
-class Equal(Formula):
-    left: str
-    right: str
-
-    def __post_init__(self):
-        _check_var(self.left)
-        _check_var(self.right)
+# The subclasses take no decorator, so they inherit the dataclass methods:
+# __eq__ compares __class__ exactly, and repr names the subclass.
+class Less(_Relation):
+    """left < right"""
 
 
-@dataclass(frozen=True)
-class Suc(Formula):
-    left: str
-    right: str
+class Equal(_Relation):
+    """left = right"""
 
-    def __post_init__(self):
-        _check_var(self.left)
-        _check_var(self.right)
+
+class Suc(_Relation):
+    """suc(left, right): right is the position just after left"""
 
 
 @dataclass(frozen=True)
@@ -87,25 +83,25 @@ class Not(Formula):
 
 
 @dataclass(frozen=True)
-class And(Formula):
+class _Binary(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    """left & right"""
+
+
+class Or(_Binary):
+    """left | right"""
+
+
+class Implies(_Binary):
+    """left -> right"""
 
 
 @dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Exists(Formula):
+class _Quantifier(Formula):
     var: str
     body: Formula
 
@@ -113,13 +109,12 @@ class Exists(Formula):
         _check_var(self.var)
 
 
-@dataclass(frozen=True)
-class Forall(Formula):
-    var: str
-    body: Formula
+class Exists(_Quantifier):
+    """E var. body"""
 
-    def __post_init__(self):
-        _check_var(self.var)
+
+class Forall(_Quantifier):
+    """A var. body"""
 
 
 def other_var(v: str) -> str:
@@ -129,13 +124,13 @@ def other_var(v: str) -> str:
 def free_vars(f: Formula) -> frozenset[str]:
     if isinstance(f, LetterAtom):
         return frozenset((f.var,))
-    if isinstance(f, (Less, Equal, Suc)):
+    if isinstance(f, _Relation):
         return frozenset((f.left, f.right))
     if isinstance(f, Not):
         return free_vars(f.body)
-    if isinstance(f, (And, Or, Implies)):
+    if isinstance(f, _Binary):
         return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, (Exists, Forall)):
+    if isinstance(f, _Quantifier):
         return free_vars(f.body) - {f.var}
     raise TypeError(f"not a formula: {f!r}")
 
@@ -143,12 +138,10 @@ def free_vars(f: Formula) -> frozenset[str]:
 def uses_successor(f: Formula) -> bool:
     if isinstance(f, Suc):
         return True
-    if isinstance(f, Not):
+    if isinstance(f, (Not, _Quantifier)):
         return uses_successor(f.body)
-    if isinstance(f, (And, Or, Implies)):
+    if isinstance(f, _Binary):
         return uses_successor(f.left) or uses_successor(f.right)
-    if isinstance(f, (Exists, Forall)):
-        return uses_successor(f.body)
     return False
 
 
@@ -162,30 +155,26 @@ def is_true_atom(f: Formula) -> bool:
 
 
 def is_false_atom(f: Formula) -> bool:
-    return (isinstance(f, Less) and f.left == f.right) or (
-        isinstance(f, Suc) and f.left == f.right
-    )
+    return isinstance(f, (Less, Suc)) and f.left == f.right
+
+
+def _nest(connective: type[_Binary], parts: Iterable[Optional[Formula]]) -> Optional[Formula]:
+    items = [p for p in parts if p is not None]
+    if not items:
+        return None
+    out = items[-1]
+    for p in reversed(items[:-1]):
+        out = connective(p, out)
+    return out
 
 
 def conjoin(parts: Iterable[Optional[Formula]]) -> Optional[Formula]:
     """Right-nested conjunction of the non-None parts; None means "true"."""
-    items = [p for p in parts if p is not None]
-    if not items:
-        return None
-    out = items[-1]
-    for p in reversed(items[:-1]):
-        out = And(p, out)
-    return out
+    return _nest(And, parts)
 
 
 def disjoin(parts: Iterable[Optional[Formula]]) -> Optional[Formula]:
-    items = [p for p in parts if p is not None]
-    if not items:
-        return None
-    out = items[-1]
-    for p in reversed(items[:-1]):
-        out = Or(p, out)
-    return out
+    return _nest(Or, parts)
 
 
 # --- parsing --------------------------------------------------------------
@@ -221,32 +210,26 @@ class _Parser:
         return self.text[i] if i < len(self.text) else ""
 
     def _implies(self) -> Formula:
-        left = self._or()
+        left = self._infix()
         self._skip_ws()
         if self._peek() == "-" and self._peek(1) == ">":
             self.pos += 2
             return Implies(left, self._implies())
         return left
 
-    def _or(self) -> Formula:
-        f = self._and()
-        while True:
-            self._skip_ws()
-            if self._peek() == "|":
-                self.pos += 1
-                f = Or(f, self._and())
-            else:
-                return f
+    # the left-associative connectives by binding strength, loosest first
+    _INFIX = {"|": (0, Or), "&": (1, And)}
 
-    def _and(self) -> Formula:
+    def _infix(self, min_level: int = 0) -> Formula:
+        """A chain of the connectives that bind at least as tightly as min_level."""
         f = self._unary()
         while True:
             self._skip_ws()
-            if self._peek() == "&":
-                self.pos += 1
-                f = And(f, self._unary())
-            else:
+            level, connective = self._INFIX.get(self._peek(), (-1, None))
+            if level < min_level:
                 return f
+            self.pos += 1
+            f = connective(f, self._infix(level + 1))
 
     def _unary(self) -> Formula:
         self._skip_ws()
@@ -330,28 +313,24 @@ def parse_formula(text: str, alphabet: Alphabet, signature: Signature = Signatur
     return _Parser(text, alphabet, signature).parse()
 
 
+_SYNTAX = {
+    Less: "{}<{}", Equal: "{}={}", Suc: "suc({},{})",
+    And: "&", Or: "|", Implies: "->", Exists: "E", Forall: "A",
+}
+
+
 def render_formula(f: Formula) -> str:
     """Fully parenthesized rendering; re-parsing yields a structurally identical AST."""
     if isinstance(f, LetterAtom):
         return f"{f.letter}({f.var})"
-    if isinstance(f, Less):
-        return f"{f.left}<{f.right}"
-    if isinstance(f, Equal):
-        return f"{f.left}={f.right}"
-    if isinstance(f, Suc):
-        return f"suc({f.left},{f.right})"
+    if isinstance(f, _Relation):
+        return _SYNTAX[type(f)].format(f.left, f.right)
     if isinstance(f, Not):
         return f"!{render_formula(f.body)}"
-    if isinstance(f, And):
-        return f"({render_formula(f.left)} & {render_formula(f.right)})"
-    if isinstance(f, Or):
-        return f"({render_formula(f.left)} | {render_formula(f.right)})"
-    if isinstance(f, Implies):
-        return f"({render_formula(f.left)} -> {render_formula(f.right)})"
-    if isinstance(f, Exists):
-        return f"(E{f.var}.{render_formula(f.body)})"
-    if isinstance(f, Forall):
-        return f"(A{f.var}.{render_formula(f.body)})"
+    if isinstance(f, _Binary):
+        return f"({render_formula(f.left)} {_SYNTAX[type(f)]} {render_formula(f.right)})"
+    if isinstance(f, _Quantifier):
+        return f"({_SYNTAX[type(f)]}{f.var}.{render_formula(f.body)})"
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -362,47 +341,36 @@ def nnf(f: Formula) -> Formula:
     return _nnf(f, negate=False)
 
 
-def _fold_and(a: Formula, b: Formula) -> Formula:
-    if is_false_atom(a):
-        return a
-    if is_false_atom(b):
-        return b
-    if is_true_atom(a):
-        return b
-    if is_true_atom(b):
-        return a
-    return And(a, b)
+# The De Morgan dual of each connective and quantifier, and the constant
+# that absorbs each connective; the dual's absorbing constant drops out.
+_DUAL = {And: Or, Or: And, Exists: Forall, Forall: Exists}
+_ABSORBS = {And: is_false_atom, Or: is_true_atom}
 
 
-def _fold_or(a: Formula, b: Formula) -> Formula:
-    if is_true_atom(a):
+def _fold(connective: type[_Binary], a: Formula, b: Formula) -> Formula:
+    """a and b joined by And or Or, with a constant operand folded away."""
+    absorbs, drops = _ABSORBS[connective], _ABSORBS[_DUAL[connective]]
+    if absorbs(a):
         return a
-    if is_true_atom(b):
+    if absorbs(b):
         return b
-    if is_false_atom(a):
+    if drops(a):
         return b
-    if is_false_atom(b):
+    if drops(b):
         return a
-    return Or(a, b)
+    return connective(a, b)
 
 
 def _nnf(f: Formula, negate: bool) -> Formula:
     if isinstance(f, Not):
         return _nnf(f.body, not negate)
-    if isinstance(f, And):
-        l, r = _nnf(f.left, negate), _nnf(f.right, negate)
-        return _fold_or(l, r) if negate else _fold_and(l, r)
-    if isinstance(f, Or):
-        l, r = _nnf(f.left, negate), _nnf(f.right, negate)
-        return _fold_and(l, r) if negate else _fold_or(l, r)
-    if isinstance(f, Implies):
-        if negate:  # not (a -> b) == a and not b
-            return _fold_and(_nnf(f.left, False), _nnf(f.right, True))
-        return _fold_or(_nnf(f.left, True), _nnf(f.right, False))
-    if isinstance(f, Exists):
-        return Forall(f.var, _nnf(f.body, True)) if negate else Exists(f.var, _nnf(f.body, False))
-    if isinstance(f, Forall):
-        return Exists(f.var, _nnf(f.body, True)) if negate else Forall(f.var, _nnf(f.body, False))
+    if isinstance(f, Implies):  # a -> b == !a | b
+        f = Or(Not(f.left), f.right)
+    if isinstance(f, (_Binary, _Quantifier)):
+        kind = _DUAL[type(f)] if negate else type(f)
+        if isinstance(f, _Quantifier):
+            return kind(f.var, _nnf(f.body, negate))
+        return _fold(kind, _nnf(f.left, negate), _nnf(f.right, negate))
     # atoms
     if not negate:
         return f
@@ -427,22 +395,20 @@ class FormulaMetrics:
 def _qdepth(f: Formula) -> int:
     if isinstance(f, Not):
         return _qdepth(f.body)
-    if isinstance(f, (And, Or, Implies)):
+    if isinstance(f, _Binary):
         return max(_qdepth(f.left), _qdepth(f.right))
-    if isinstance(f, (Exists, Forall)):
+    if isinstance(f, _Quantifier):
         return 1 + _qdepth(f.body)
     return 0
 
 
-def _alt_depth(f: Formula, last: str | None) -> int:
+def _alt_depth(f: Formula, last: type[_Quantifier] | None) -> int:
     if isinstance(f, Not):
         return _alt_depth(f.body, last)
-    if isinstance(f, (And, Or, Implies)):
+    if isinstance(f, _Binary):
         return max(_alt_depth(f.left, last), _alt_depth(f.right, last))
-    if isinstance(f, Exists):
-        return (0 if last == "E" else 1) + _alt_depth(f.body, "E")
-    if isinstance(f, Forall):
-        return (0 if last == "A" else 1) + _alt_depth(f.body, "A")
+    if isinstance(f, _Quantifier):
+        return (0 if last is type(f) else 1) + _alt_depth(f.body, type(f))
     return 0
 
 
@@ -471,7 +437,8 @@ class _BitContext:
         L = len(w)
         self.L = L
         self.rowbits = (1 << L) - 1
-        self.full = (1 << (L * L)) - 1 if L else 0
+        # the empty word has one assignment, the empty one, in bit 0
+        self.full = (1 << (L * L)) - 1 if L else 1
         # REPL * v replicates an L-bit column pattern to every row block
         self.repl = sum(1 << (i * L) for i in range(L))
         text = w.text
@@ -527,54 +494,25 @@ class _BitContext:
             return self.eval(f.left) | self.eval(f.right)
         if isinstance(f, Implies):
             return (full ^ self.eval(f.left)) | self.eval(f.right)
-        if isinstance(f, Exists):
-            b = self.eval(f.body)
-            if f.var == "x":
-                acc = 0
-                for i in range(L):
-                    acc |= (b >> (i * L)) & self.rowbits
-                return acc * self.repl
+        if isinstance(f, _Quantifier):
+            # Av.phi is evaluated as !Ev.!phi
+            flip = full if isinstance(f, Forall) else 0
+            b = self.eval(f.body) ^ flip
             out = 0
+            if f.var == "x":
+                for i in range(L):
+                    out |= (b >> (i * L)) & self.rowbits
+                return (out * self.repl) ^ flip
             for i in range(L):
                 if (b >> (i * L)) & self.rowbits:
                     out |= self.rowbits << (i * L)
-            return out
-        if isinstance(f, Forall):
-            b = self.eval(f.body)
-            if f.var == "x":
-                acc = self.rowbits
-                for i in range(L):
-                    acc &= (b >> (i * L)) & self.rowbits
-                return acc * self.repl
-            out = 0
-            for i in range(L):
-                if ((b >> (i * L)) & self.rowbits) == self.rowbits:
-                    out |= self.rowbits << (i * L)
-            return out
+            return out ^ flip
         raise TypeError(f"not a formula: {f!r}")
 
 
 @functools.lru_cache(maxsize=4096)
 def _bit_context(w: Word) -> _BitContext:
     return _BitContext(w)
-
-
-def _eval_on_empty(f: Formula) -> bool:
-    # Quantifiers over the empty domain are decided; atoms cannot occur
-    # outside a quantifier in a sentence.
-    if isinstance(f, Exists):
-        return False
-    if isinstance(f, Forall):
-        return True
-    if isinstance(f, Not):
-        return not _eval_on_empty(f.body)
-    if isinstance(f, And):
-        return _eval_on_empty(f.left) and _eval_on_empty(f.right)
-    if isinstance(f, Or):
-        return _eval_on_empty(f.left) or _eval_on_empty(f.right)
-    if isinstance(f, Implies):
-        return (not _eval_on_empty(f.left)) or _eval_on_empty(f.right)
-    raise FreeVariableError("formula with free variables cannot be evaluated on the empty word")
 
 
 def model_check(
@@ -593,8 +531,6 @@ def model_check(
     for name, p in (("x", x_pos), ("y", y_pos)):
         if p is not None and not 1 <= p <= L:
             raise ValueError(f"position {p} for {name} out of range [1, {L}]")
-    if L == 0:
-        return _eval_on_empty(f)
     bits = _bit_context(w).eval(f)
     i = (x_pos or 1) - 1
     j = (y_pos or 1) - 1
@@ -607,8 +543,6 @@ def satisfying_positions(f: Formula, w: Word) -> tuple[int, ...]:
     if not fv <= {"x"}:
         raise FreeVariableError(f"expected free variables within {{x}}, got {set(fv)}")
     L = len(w)
-    if L == 0:
-        return ()
     bits = _bit_context(w).eval(f)
     return tuple(i for i in range(1, L + 1) if (bits >> ((i - 1) * L)) & 1)
 
@@ -625,21 +559,22 @@ _REL_ALIASES = {
 }
 
 
-def _left_chain(letters: str, var: str) -> Optional[Formula]:
-    # letters[-1] sits immediately left of var, letters[-2] one further, ...
-    if not letters:
-        return None
-    u = other_var(var)
-    inner = conjoin([LetterAtom(letters[-1], u), _left_chain(letters[:-1], u)])
-    return Exists(u, conjoin([Suc(u, var), inner]))
+# The relation between a step's position and the position it starts from.
+_TOWARD = {Direction.RIGHT: ">", Direction.LEFT: "<"}
 
 
-def _right_chain(letters: str, var: str) -> Optional[Formula]:
-    if not letters:
+def _beyond(direction: Direction, var: str, u: str) -> tuple[str, str]:
+    """The (left, right) of the atoms placing var beyond u in the direction."""
+    return (u, var) if direction is Direction.RIGHT else (var, u)
+
+
+def _chain(outward: str, var: str, direction: Direction) -> Optional[Formula]:
+    # outward[0] sits next to var in the direction, outward[1] one further, ...
+    if not outward:
         return None
     u = other_var(var)
-    inner = conjoin([LetterAtom(letters[0], u), _right_chain(letters[1:], u)])
-    return Exists(u, conjoin([Suc(var, u), inner]))
+    chain = _chain(outward[1:], u, direction)
+    return Exists(u, conjoin([Suc(*_beyond(direction, u, var)), LetterAtom(outward[0], u), chain]))
 
 
 def _window(step: BoundaryPos, var: str) -> list[Formula]:
@@ -649,22 +584,20 @@ def _window(step: BoundaryPos, var: str) -> list[Formula]:
     not k + l; this is what keeps the synthesized depth within the ranker
     length.
     """
-    parts = [LetterAtom(step.letter, var)]
-    lc = _left_chain(step.before, var)
-    rc = _right_chain(step.after, var)
-    if lc is not None:
-        parts.append(lc)
-    if rc is not None:
-        parts.append(rc)
-    return parts
+    parts = [
+        LetterAtom(step.letter, var),
+        _chain(step.before[::-1], var, Direction.LEFT),
+        _chain(step.after, var, Direction.RIGHT),
+    ]
+    return [p for p in parts if p is not None]
 
 
 def _definedness(steps: Sequence[BoundaryPos], var: str) -> Optional[Formula]:
     if not steps:
         return None
     last, prefix = steps[-1], steps[:-1]
-    rel = ">" if last.direction is Direction.RIGHT else "<"
-    return Exists(var, conjoin(_window(last, var) + [_comparison(prefix, rel, var)]))
+    gamma = _comparison(prefix, _TOWARD[last.direction], var)
+    return Exists(var, conjoin(_window(last, var) + [gamma]))
 
 
 def _comparison(steps: Sequence[BoundaryPos], rel: str, var: str) -> Optional[Formula]:
@@ -677,25 +610,17 @@ def _comparison(steps: Sequence[BoundaryPos], rel: str, var: str) -> Optional[Fo
         return None
     last, prefix = steps[-1], steps[:-1]
     u = other_var(var)
-    if last.direction is Direction.RIGHT:
-        # position = first window match strictly right of the prefix position
-        inner = _comparison(prefix, ">", u)
-        if rel == ">":
-            return Exists(u, conjoin(_window(last, u) + [Less(u, var), inner]))
-        if rel == ">=":
-            return Exists(
-                u, conjoin(_window(last, u) + [Or(Less(u, var), Equal(u, var)), inner])
-            )
-        weak = _comparison(steps, ">=" if rel == "<" else ">", var)
-        return conjoin([_definedness(steps, u), Not(weak)])
-    inner = _comparison(prefix, "<", u)
-    if rel == "<":
-        return Exists(u, conjoin(_window(last, u) + [Less(var, u), inner]))
-    if rel == "<=":
-        return Exists(
-            u, conjoin(_window(last, u) + [Or(Less(var, u), Equal(var, u)), inner])
-        )
-    weak = _comparison(steps, "<=" if rel == ">" else "<", var)
+    toward = _TOWARD[last.direction]
+    if rel.startswith(toward):
+        # position = first window match beyond the prefix position, so var
+        # is beyond it iff var is beyond some such match u
+        lo, hi = _beyond(last.direction, var, u)
+        cmp = Less(lo, hi) if rel == toward else Or(Less(lo, hi), Equal(lo, hi))
+        inner = _comparison(prefix, toward, u)
+        return Exists(u, conjoin(_window(last, u) + [cmp, inner]))
+    # var falls short of the position iff the steps are defined and var is
+    # not beyond it (not weakly beyond, for a strict rel)
+    weak = _comparison(steps, toward if rel.endswith("=") else toward + "=", var)
     return conjoin([_definedness(steps, u), Not(weak)])
 
 
@@ -728,16 +653,12 @@ def synth_position(r: AnyRanker) -> Formula:
     """A formula with free x satisfied at exactly the position of r, if any."""
     steps = r.steps
     last, prefix = steps[-1], steps[:-1]
+    toward = _TOWARD[last.direction]
     win_x = _window(last, "x")
     win_y = _window(last, "y")
-    if last.direction is Direction.RIGHT:
-        gamma_x = _comparison(prefix, ">", "x")
-        gamma_y = _comparison(prefix, ">", "y")
-        earlier = conjoin([Less("y", "x")] + win_y)
-    else:
-        gamma_x = _comparison(prefix, "<", "x")
-        gamma_y = _comparison(prefix, "<", "y")
-        earlier = conjoin([Less("x", "y")] + win_y)
+    gamma_x = _comparison(prefix, toward, "x")
+    gamma_y = _comparison(prefix, toward, "y")
+    earlier = conjoin([Less(*_beyond(last.direction, "x", "y"))] + win_y)
     assert earlier is not None
     if gamma_y is None:
         guard = Forall("y", Not(earlier))

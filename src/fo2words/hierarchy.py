@@ -22,12 +22,9 @@ from .words import Alphabet, OrderType, Word, order_type
 def _letters(m: int, signature: Signature) -> list[str]:
     """Rendering of the indexed letters: a, b, c, ... for the order signature;
     with successor, b is reserved for the padding letter, so a, c, d, ..."""
-    if signature is Signature.ORDER:
-        base = "abcdefghijklmnopqrstuvwxyz"
-        if m > len(base):
-            raise ValueError(f"no letter rendering beyond {len(base)} levels")
-        return list(base[:m])
-    base = "acdefghijklmnopqrstuvwxyz"
+    base = "abcdefghijklmnopqrstuvwxyz"
+    if signature is not Signature.ORDER:
+        base = base.replace(_PAD, "")
     if m > len(base):
         raise ValueError(f"no letter rendering beyond {len(base)} levels")
     return list(base[:m])
@@ -65,7 +62,7 @@ def witness_words(m: int, n: int) -> WitnessPair:
     """The order-signature witness pair for hierarchy level m at depth parameter n."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
-    a = _letters(max(m, 1), Signature.ORDER)
+    a = _letters(m, Signature.ORDER)
     u, v = a[0], ""
     if m >= 2:
         block = (a[1] + a[0]) * (2 * n)
@@ -88,7 +85,7 @@ def witness_words_suc(m: int, n: int) -> WitnessPair:
     on both sides, so successor atoms never see two indexed letters adjacent."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
-    a = _letters(max(m, 1), Signature.ORDER_SUC)
+    a = _letters(m, Signature.ORDER_SUC)
     pad = _PAD * (2 * n)
     u, v = pad + a[0] + pad, pad
     if m >= 2:

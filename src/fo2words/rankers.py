@@ -12,6 +12,7 @@ type, one evaluator, one enumerator and one cache serve both signatures.
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping
@@ -302,13 +303,31 @@ def realized_suc_rankers(
     return _realize(w, n, alt_bound, cap, successor=True)
 
 
-# A small process-wide cache: realized sets are immutable and the equivalence
-# sweeps revisit the same words many times.
-@functools.lru_cache(maxsize=8192)
+# A process-wide cache, least recently used first: realized sets are immutable
+# and the equivalence sweeps revisit the same words many times. Once the sets
+# hold more than _CACHE_RANKERS rankers (about 190 MB) the oldest are evicted,
+# but the newest set is always kept. Each set also counts one for itself, so
+# that many tiny sets are bounded too.
+_CACHE_RANKERS = 1_000_000
+_cache: dict[tuple[Word, int, bool], RealizedSet] = {}
+_cache_held = 0
+_cache_lock = threading.Lock()
+
+
 def _cached_realized(w: Word, n: int, successor: bool) -> RealizedSet:
-    # through the public names, so that a wrapper installed on them (as the
-    # benchmark's tracer does) sees every miss
-    return (realized_suc_rankers if successor else realized_rankers)(w, n)
+    global _cache_held
+    key = (w, n, successor)
+    with _cache_lock:
+        realized = _cache.pop(key, None)
+        if realized is None:
+            # through the public names, so that a wrapper installed on them (as
+            # the benchmark's tracer does) sees every miss
+            realized = (realized_suc_rankers if successor else realized_rankers)(w, n)
+            _cache_held += len(realized) + 1
+            while _cache and _cache_held > _CACHE_RANKERS:
+                _cache_held -= len(_cache.pop(next(iter(_cache)))) + 1
+        _cache[key] = realized
+    return realized
 
 
 def parse_ranker(text: str, alphabet: Alphabet | None = None) -> Ranker:

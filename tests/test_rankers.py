@@ -271,3 +271,67 @@ def test_parse_ranker_rejects_bad_input():
             parse_ranker(bad)
     with pytest.raises(ValueError):
         parse_ranker(">z", alphabet=AB)
+
+
+def test_realized_cache_stays_within_its_ranker_bound(monkeypatch):
+    from fo2words import rankers
+
+    bound = 100
+    monkeypatch.setattr(rankers, "_CACHE_RANKERS", bound)
+    monkeypatch.setattr(rankers, "_cache", {})
+    monkeypatch.setattr(rankers, "_cache_held", 0)
+    keys = [(W(t), n, successor)
+            for t in ("abba", "babab", "aabbab", "bbaab", "ababab")
+            for n, successor in ((2, False), (2, True), (3, True))]
+    for key in keys:
+        got = rankers._cached_realized(*key)
+        assert rankers._cached_realized(*key) is got
+        assert got == (realized_suc_rankers if key[2] else realized_rankers)(*key[:2])
+        held = [len(s) + 1 for s in rankers._cache.values()]
+        assert sum(held) == rankers._cache_held
+        # within the bound, unless the newest set alone exceeds it
+        assert sum(held) <= bound or len(held) == 1
+        assert next(reversed(rankers._cache)) == key
+    # the oldest sets were evicted; a repeated key is a fresh set
+    assert (W("abba"), 2, False) not in rankers._cache
+    first = rankers._cached_realized(W("abba"), 2, False)
+    second = rankers._cached_realized(W("babab"), 2, False)
+    assert rankers._cached_realized(W("abba"), 2, False) is first
+    assert rankers._cached_realized(W("babab"), 2, False) is second
+    assert len(rankers._cache) == 2
+
+
+def test_realized_cache_under_concurrent_callers(monkeypatch):
+    import sys
+    import threading
+
+    from fo2words import rankers
+
+    monkeypatch.setattr(rankers, "_CACHE_RANKERS", 150)
+    monkeypatch.setattr(rankers, "_cache", {})
+    monkeypatch.setattr(rankers, "_cache_held", 0)
+    keys = [(W(t), n, True) for t in ("abba", "babab", "aabbab", "bbaab") for n in (1, 2)]
+    errors = []
+
+    def work(offset):
+        try:
+            for k in range(40):
+                key = keys[(offset + k) % len(keys)]
+                assert len(rankers._cached_realized(*key)) == len(realized_suc_rankers(*key[:2]))
+        except Exception as e:  # reported by the main thread
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    held = sum(len(s) + 1 for s in rankers._cache.values())
+    assert held == rankers._cache_held <= 150
