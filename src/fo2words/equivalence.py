@@ -1,14 +1,18 @@
 """Ranker-based equivalence deciders with witness reporting.
 
-Each decider checks, over ranker families realized on the two words:
+Each decider checks, over the rankers of length at most n (and, in the
+alternation variants, at most m direction blocks):
 
   (a) the same rankers are defined on both words,
   (b) rankers agree with shorter rankers on their relative order,
   (c) (alternation variants) rankers agree with equally-deep rankers that
       end in the opposite direction.
 
-Condition (a) is checked over the whole cumulative family first, which
-guarantees every ranker appearing in (b) and (c) is defined on both words.
+One breadth-first walk over both words at once (`rankers._walk`) finds the
+least ranker defined on one word only, which fails (a), or else keeps the
+least ranker of each state: positions on u and v, blocks, last direction
+and, with successor, length. (b) and (c) read a ranker only through its
+state, so the witnesses are those of a check over every ranker.
 
 Conditions (b) and (c) compare every row ranker with a set of column rankers
 through the comparison the signature sees: `order_type`, or with successor
@@ -28,13 +32,7 @@ from enum import Enum
 from typing import Callable, Optional
 
 from .errors import AlphabetMismatchError
-from .rankers import (
-    AnyRanker,
-    Direction,
-    _cached_realized,
-    render_ranker,
-    sort_key,
-)
+from .rankers import AnyRanker, Direction, _walk, render_ranker
 from .words import Word, order_type, suc_order_type
 
 
@@ -124,21 +122,6 @@ def _first_bad(
     return None
 
 
-def _first_difference(a: list[AnyRanker], b: list[AnyRanker]) -> Optional[AnyRanker]:
-    """The least ranker in exactly one of two lists in canonical order, or None.
-
-    Up to the first position where the lists differ they hold the same
-    rankers; there, the lesser of the two is in one list only, and every
-    lesser ranker is in both.
-    """
-    for r, s in zip(a, b):
-        if r != s:
-            return min(r, s, key=sort_key)
-    if len(a) == len(b):
-        return None
-    return (a if len(a) > len(b) else b)[min(len(a), len(b))]
-
-
 def _structure_check(u: Word, v: Word, n: int, m: Optional[int], successor: bool) -> EquivReport:
     if u.alphabet != v.alphabet:
         raise AlphabetMismatchError(
@@ -148,23 +131,11 @@ def _structure_check(u: Word, v: Word, n: int, m: Optional[int], successor: bool
         raise ValueError("n must be >= 1")
     if m is not None and m < 1:
         raise ValueError("m must be >= 1")
-    ru = _cached_realized(u, n, successor)
-    rv = _cached_realized(v, n, successor)
-
-    def family(realized) -> list[tuple[AnyRanker, int, int]]:
-        rows = zip(realized.positions, realized.positions.values(), realized.blocks)
-        return [row for row in rows if m is None or row[2] <= m]
-
-    fam_u = family(ru)
-    fam_v = family(rv)
-    common = [r for r, _, _ in fam_u]
-    witness = _first_difference(common, [r for r, _, _ in fam_v])
-    if witness is not None:
-        entry = WitnessEntry(witness, ru.positions.get(witness), rv.positions.get(witness))
+    common, pos_u, pos_v, blocks, one_sided = _walk(u, v, n, m, successor)
+    if one_sided is not None:
+        entry = WitnessEntry(*one_sided)
         return EquivReport(False, FailedCondition.DEFINEDNESS, (entry,), n, m, successor)
 
-    pos_u = [p for _, p, _ in fam_u]
-    pos_v = [p for _, p, _ in fam_v]
     shorter = [j for j, r in enumerate(common) if len(r) <= n - 1]
 
     def report(condition: FailedCondition, hit: tuple[int, int]) -> EquivReport:
@@ -173,7 +144,7 @@ def _structure_check(u: Word, v: Word, n: int, m: Optional[int], successor: bool
 
     # (b): rankers vs strictly shorter (and, in alternation mode, strictly
     # less alternating) rankers
-    cols_b = shorter if m is None else [j for j in shorter if fam_u[j][2] <= m - 1]
+    cols_b = shorter if m is None else [j for j in shorter if blocks[j] <= m - 1]
     columns_b = _Columns(cols_b, pos_u, pos_v)
     hit = _first_bad(lambda i: columns_b, pos_u, pos_v, successor)
     if hit is not None:

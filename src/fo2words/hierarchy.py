@@ -81,27 +81,20 @@ def witness_words(m: int, n: int) -> WitnessPair:
 
 
 def witness_words_suc(m: int, n: int) -> WitnessPair:
-    """The successor-signature witnesses: every letter is padded with b^(2n)
-    on both sides, so successor atoms never see two indexed letters adjacent."""
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be >= 1")
-    a = _letters(m, Signature.ORDER_SUC)
+    """The successor-signature witnesses: the order-signature pair with its
+    letters renamed to skip b, and every letter padded with b^(2n) on both
+    sides, so successor atoms never see two indexed letters adjacent."""
+    letters = _letters(m, Signature.ORDER_SUC)
+    pair = witness_words(m, n)
+    rename = str.maketrans(dict(zip(pair.u.alphabet.letters, letters)))
     pad = _PAD * (2 * n)
-    u, v = pad + a[0] + pad, pad
-    if m >= 2:
-        block = (a[1] + pad + a[0] + pad) * (2 * n)
-        u, v = u + block, v + block
-    level = 2
-    while level < m:
-        level += 1
-        if level % 2 == 1:
-            block = "".join(pad + c for c in a[:level]) * n
-            u, v = block + u, block + v
-        else:
-            block = "".join(c + pad for c in reversed(a[:level])) * n
-            u, v = u + block, v + block
-    alphabet = Alphabet(tuple(sorted(a[:m] + [_PAD])))
-    return WitnessPair(m, n, Word(alphabet, u), Word(alphabet, v), Signature.ORDER_SUC)
+
+    def padded(w: Word) -> str:
+        return pad + "".join(c + pad for c in w.text.translate(rename))
+
+    alphabet = Alphabet(tuple(sorted(letters + [_PAD])))
+    u, v = (Word(alphabet, padded(w)) for w in (pair.u, pair.v))
+    return WitnessPair(m, n, u, v, Signature.ORDER_SUC)
 
 
 def separating_rankers(m: int, signature: Signature = Signature.ORDER) -> SeparatingRankerPair:

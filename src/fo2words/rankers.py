@@ -6,13 +6,12 @@ occurrence makes the whole ranker undefined (returned as None).
 
 Over {<, suc} a step also requires a window of letters around its position.
 A plain ranker is a successor ranker whose windows are all empty, so one step
-type, one evaluator, one enumerator and one cache serve both signatures.
+type, one evaluator and one enumerator serve both signatures, and one walk
+over two words at once serves the equivalence check of both.
 """
 
 from __future__ import annotations
 
-import functools
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping
@@ -184,11 +183,6 @@ class RealizedSet:
     def rankers(self) -> list[Ranker]:
         return list(self.positions)
 
-    @functools.cached_property
-    def blocks(self) -> list[int]:
-        """`alternation_blocks` of each ranker, in `positions` order."""
-        return [alternation_blocks(r) for r in self.positions]
-
     def select(
         self,
         length: int | None = None,
@@ -205,13 +199,13 @@ class RealizedSet:
         """
         out = []
         by_blocks = blocks is not None or max_blocks is not None
-        for i, (r, p) in enumerate(self.positions.items()):
+        for r, p in self.positions.items():
             if length is not None and len(r) != length:
                 continue
             if max_length is not None and len(r) > max_length:
                 continue
             if by_blocks:
-                b = self.blocks[i]
+                b = alternation_blocks(r)
                 if blocks is not None and b != blocks:
                     continue
                 if max_blocks is not None and b > max_blocks:
@@ -222,19 +216,27 @@ class RealizedSet:
         return out
 
 
-def _windows(text: str, width: int) -> list[tuple[str, str, str]]:
-    """The (before, letter, after) windows occurring in text, each side at
-    most `width` letters, sorted.
+def _steps(texts: tuple[str, ...], width: int) -> list[tuple]:
+    """The candidate steps whose window occurs in one of the texts, each side
+    at most `width` letters, in the order `sort_key` sorts steps, as
+    (step, direction, window, before width, after width).
 
-    A window that does not occur in the word is undefined everywhere on it,
-    so harvesting from the word loses nothing.
+    A window that occurs in none of the texts is undefined everywhere on
+    them, so harvesting from the words loses nothing.
     """
-    return sorted({
+    windows = sorted({
         (text[i - k : i], text[i], text[i + 1 : i + 1 + ell])
+        for text in texts
         for k in range(width + 1)
         for ell in range(width + 1)
         for i in range(k, len(text) - ell)
     })
+    return [
+        (BoundaryPos(direction, letter, before, after), direction,
+         before + letter + after, len(before), len(after))
+        for direction in (Direction.RIGHT, Direction.LEFT)
+        for before, letter, after in windows
+    ]
 
 
 def _realize(w: Word, n: int, alt_bound: int | None, cap: int, successor: bool) -> RealizedSet:
@@ -242,9 +244,9 @@ def _realize(w: Word, n: int, alt_bound: int | None, cap: int, successor: bool) 
 
     Breadth-first: only rankers whose prefix is defined are extended, since
     an undefined prefix makes every extension undefined. Each depth extends
-    the previous depth's rankers in order by candidate steps sorted as
-    `sort_key` sorts steps, so the rankers come out in `sort_key` order.
-    The i-th step's windows are at most i-1 wide with successor, empty without.
+    the previous depth's rankers in order by the candidate steps in order,
+    so the rankers come out in `sort_key` order. The i-th step's windows are
+    at most i-1 wide with successor, empty without.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -257,13 +259,7 @@ def _realize(w: Word, n: int, alt_bound: int | None, cap: int, successor: bool) 
     frontier: list[tuple[tuple[BoundaryPos, ...], int | None, int]] = [((), None, 0)]
     for depth in range(1, n + 1):
         if depth == 1 or successor:
-            # (step, direction, window, before width, after width)
-            candidates = [
-                (BoundaryPos(direction, letter, before, after), direction,
-                 before + letter + after, len(before), len(after))
-                for direction in (Direction.RIGHT, Direction.LEFT)
-                for before, letter, after in _windows(text, depth - 1 if successor else 0)
-            ]
+            candidates = _steps((text,), depth - 1 if successor else 0)
         next_frontier = []
         for steps, pos, blocks in frontier:
             last = steps[-1].direction if steps else None
@@ -303,31 +299,58 @@ def realized_suc_rankers(
     return _realize(w, n, alt_bound, cap, successor=True)
 
 
-# A process-wide cache, least recently used first: realized sets are immutable
-# and the equivalence sweeps revisit the same words many times. Once the sets
-# hold more than _CACHE_RANKERS rankers (about 190 MB) the oldest are evicted,
-# but the newest set is always kept. Each set also counts one for itself, so
-# that many tiny sets are bounded too.
-_CACHE_RANKERS = 1_000_000
-_cache: dict[tuple[Word, int, bool], RealizedSet] = {}
-_cache_held = 0
-_cache_lock = threading.Lock()
+def _walk(u: Word, v: Word, n: int, alt_bound: int | None, successor: bool):
+    """The rankers of length <= n (and <= alt_bound blocks) on u and v at
+    once, one per state, for the equivalence check.
 
+    A state is (x, y, blocks, last direction): a ranker's positions on u and
+    on v, its direction blocks and its last direction; with successor, its
+    length too, since the window cap grows with it. Without successor, a
+    shallower visit of a state reaches all that a deeper one reaches. The
+    frontier stays in order and the steps are tried in order, so each state
+    is first reached by its least ranker in `sort_key` order, the one kept.
 
-def _cached_realized(w: Word, n: int, successor: bool) -> RealizedSet:
-    global _cache_held
-    key = (w, n, successor)
-    with _cache_lock:
-        realized = _cache.pop(key, None)
-        if realized is None:
-            # through the public names, so that a wrapper installed on them (as
-            # the benchmark's tracer does) sees every miss
-            realized = (realized_suc_rankers if successor else realized_rankers)(w, n)
-            _cache_held += len(realized) + 1
-            while _cache and _cache_held > _CACHE_RANKERS:
-                _cache_held -= len(_cache.pop(next(iter(_cache)))) + 1
-        _cache[key] = realized
-    return realized
+    Returns the kept rankers in order, their positions on u and on v and
+    their blocks, and, if some ranker is defined on only one word, the least
+    one with its positions (the lists then stop short). Each state has its
+    own least ranker, so `DEFAULT_ENUMERATION_CAP` on the states trips only
+    where enumerating either word's rankers would.
+    """
+    make = SucRanker if successor else Ranker
+    tu, tv = u.text, v.text
+    rankers, pos_u, pos_v, blocks = [], [], [], []
+    # (steps, position on u, position on v, direction blocks, last direction)
+    frontier: list[tuple] = [((), None, None, 0, None)]
+    for depth in range(1, n + 1):
+        if depth == 1 or successor:
+            candidates = _steps((tu, tv), depth - 1 if successor else 0)
+            seen = set()  # with successor, each length has its own states
+        next_frontier = []
+        for steps, x, y, b0, last in frontier:
+            for step, direction, window, k, ell in candidates:
+                b = b0 + (direction is not last)
+                if alt_bound is not None and b > alt_bound:
+                    continue
+                x2 = _match(tu, direction, window, k, ell, x)
+                y2 = _match(tv, direction, window, k, ell, y)
+                if x2 is None and y2 is None:
+                    continue
+                new_steps = steps + (step,)
+                if x2 is None or y2 is None:
+                    return rankers, pos_u, pos_v, blocks, (make(new_steps), x2, y2)
+                state = (x2, y2, b, direction)
+                if state in seen:
+                    continue
+                seen.add(state)
+                rankers.append(make(new_steps))
+                if len(rankers) > DEFAULT_ENUMERATION_CAP:
+                    raise EnumerationCapError(DEFAULT_ENUMERATION_CAP, len(u))
+                pos_u.append(x2)
+                pos_v.append(y2)
+                blocks.append(b)
+                next_frontier.append((new_steps, x2, y2, b, direction))
+        frontier = next_frontier
+    return rankers, pos_u, pos_v, blocks, None
 
 
 def parse_ranker(text: str, alphabet: Alphabet | None = None) -> Ranker:

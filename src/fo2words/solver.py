@@ -190,6 +190,9 @@ def sat_search(
     has a model within that bound, so finding none refutes it. With
     max_len or exact_len the verdict is only "unsatisfiable up to here".
     """
+    for name, value in (("max_len", max_len), ("exact_len", exact_len)):
+        if value is not None and value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     metrics = formula_metrics(formula)
     if metrics.free_vars:
         raise FreeVariableError("satisfiability is decided for sentences only")

@@ -145,6 +145,10 @@ def test_sat_command(tmp_path, capsys):
     del record["alphabet"]
     jsonschema.validate(record, schema)
     assert record["status"] == "sat" and record["witness"] == "a"
+    for flag in ("--max-len", "--exact-len"):
+        code, out, err = run(capsys, "sat", str(f), "--alphabet", "a", flag, "-1")
+        assert code == 1 and out == ""
+        assert "must be >= 0" in err
 
 
 def test_shrink_command(capsys):

@@ -6,6 +6,7 @@ from fo2words import (
     Alphabet,
     AlphabetMismatchError,
     Direction,
+    EnumerationCapError,
     FailedCondition,
     Word,
     all_words,
@@ -18,6 +19,7 @@ from fo2words import (
     realized_rankers,
     realized_suc_rankers,
     render_ranker,
+    shrink,
     suc_ranker_equiv,
     suc_ranker_equiv_alt,
     witness_words_suc,
@@ -236,24 +238,53 @@ def _reference_report(u, v, n, m, successor):
 def test_reports_match_pairwise_reference():
     # Pairs that fail definedness are sampled; every other case is compared.
     rng = random.Random(41)
+    compared = set()
+
+    def compare(u, v, n, m, successor):
+        if successor:
+            got = suc_ranker_equiv(u, v, n) if m is None else suc_ranker_equiv_alt(u, v, m, n)
+        else:
+            got = ranker_equiv(u, v, n) if m is None else ranker_equiv_alt(u, v, m, n)
+        if got.failed_condition is FailedCondition.DEFINEDNESS and rng.random() > 0.05:
+            return
+        assert got.to_json_dict() == _reference_report(u, v, n, m, successor), (u, v, n, m)
+        compared.add(got.failed_condition)
+
     corpus = list(all_words(AB, 5)) + list(all_words(Alphabet(("a", "b", "c")), 3))
     cases = [(n, m, False) for n in (1, 2, 3) for m in (None, 1, 2)]
     cases += [(n, m, True) for n in (1, 2) for m in (None, 1, 2)]
-    compared = set()
     for u in corpus:
         for v in corpus:
             if u.alphabet != v.alphabet:
                 continue
-            for n, m, successor in cases:
-                if successor:
-                    got = suc_ranker_equiv(u, v, n) if m is None else suc_ranker_equiv_alt(u, v, m, n)
-                else:
-                    got = ranker_equiv(u, v, n) if m is None else ranker_equiv_alt(u, v, m, n)
-                if got.failed_condition is FailedCondition.DEFINEDNESS and rng.random() > 0.05:
-                    continue
-                assert got.to_json_dict() == _reference_report(u, v, n, m, successor), (u, v, n, m)
-                compared.add(got.failed_condition)
+            for case in cases:
+                compare(u, v, *case)
     assert compared == set(FailedCondition)
+
+    # Longer words, where many rankers land on one state of the decider's
+    # walk: shrink pairs and one-letter edits of 6-12 letters.
+    compared.clear()
+    for _ in range(60):
+        letters = rng.choice(("ab", "abc"))
+        alphabet = Alphabet(tuple(letters))
+        text = "".join(rng.choice(letters) for _ in range(rng.randint(6, 12)))
+        u = Word(alphabet, text)
+        i = rng.randrange(len(text))
+        edits = [text[:i] + text[i + 1 :], text[:i] + rng.choice(letters) + text[i:],
+                 text[:i] + rng.choice(letters) + text[i + 1 :]]
+        for v in (shrink(u, rng.randint(1, 3)), Word(alphabet, rng.choice(edits))):
+            for case in cases:
+                compare(u, v, *case)
+    assert compared == set(FailedCondition)
+
+
+def test_successor_states_keep_their_length():
+    # the same positions, blocks and direction reached by a longer ranker
+    # allow wider windows on the next step, so they are a different state
+    u, v = W("abbbbb"), W("abbbb")
+    report = suc_ranker_equiv(u, v, 3)
+    assert report.to_json_dict() == _reference_report(u, v, 3, None, True)
+    assert [render_ranker(e.ranker) for e in report.witnesses] == [">[|a|]>[|b|]>[bb|b|bb]"]
 
 
 def test_large_successor_check_stays_small():
@@ -269,3 +300,16 @@ def test_large_successor_check_stays_small():
         tracemalloc.stop()
     assert report.verdict is True
     assert peak < 300_000_000
+
+
+def test_walk_over_its_cap_raises(monkeypatch):
+    from fo2words import rankers
+
+    # the decider walks 4 states at n=1, 24 at n=3 and 18 with successor at
+    # m=2, n=2 on this word
+    monkeypatch.setattr(rankers, "DEFAULT_ENUMERATION_CAP", 17)
+    u = W("abaabbab")
+    assert ranker_equiv(u, u, 1).verdict is True
+    for check in (lambda: ranker_equiv(u, u, 3), lambda: suc_ranker_equiv_alt(u, u, 2, 2)):
+        with pytest.raises(EnumerationCapError):
+            check()

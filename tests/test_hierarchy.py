@@ -162,6 +162,16 @@ def test_levels_four_and_three_with_successor():
     assert report.separation_depth is not None
 
 
+def test_levels_up_to_eight_and_four_with_successor():
+    # each witness word realizes more than 200,000 rankers of length <= n,
+    # so only a decider that never enumerates them reaches these levels
+    for m, n, signature in ((6, 6, Signature.ORDER), (7, 7, Signature.ORDER),
+                            (8, 8, Signature.ORDER), (4, 4, Signature.ORDER_SUC)):
+        report = verify_hierarchy_level(m, n, signature)
+        assert report.ok and report.indist_game and report.indist_ranker, (m, n, signature)
+        assert report.separation_depth is not None
+
+
 def test_level_four_by_rankers():
     # the ranker decider on its own, without the game
     from fo2words import ranker_equiv_alt
