@@ -36,6 +36,8 @@ from .formulas import (
 )
 from .hierarchy import verify_hierarchy_level, witness_words, witness_words_suc
 from .rankers import (
+    DEFAULT_ENUMERATION_CAP,
+    alternation_blocks,
     evaluate,
     parse_ranker,
     ranker_letters,
@@ -43,7 +45,7 @@ from .rankers import (
     realized_suc_rankers,
     render_ranker,
 )
-from .solver import cnf_to_fo2, parse_dimacs, sat_search, shrink, small_model_bound
+from .solver import CNF_ALPHABET, cnf_to_fo2, parse_dimacs, sat_search, shrink, small_model_bound
 from .words import Alphabet, Word
 
 
@@ -194,8 +196,6 @@ def _guess_alphabet(source: str) -> Alphabet:
 
 
 def _cmd_synth(args) -> int:
-    from .rankers import alternation_blocks
-
     ranker = parse_ranker(_read_inline(args.ranker))
     f = synth_position(ranker) if args.position else synth_definedness(ranker)
     rendered = render_formula(f)
@@ -265,7 +265,7 @@ def _cmd_reduce_cnf(args) -> int:
     rendered = render_formula(formula)
     record = {"variables": n, "alphabet": "01", "formula": rendered}
     if args.solve:
-        result = sat_search(formula, Alphabet(("0", "1")), exact_len=n)
+        result = sat_search(formula, CNF_ALPHABET, exact_len=n)
         record["sat"] = result.to_json_dict()
     _emit(args, record, [rendered])
     return 0
@@ -296,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-m", type=int, default=None, help="max alternation blocks")
     sp.add_argument("--suc", action="store_true", help="successor rankers")
     sp.add_argument("--alphabet")
-    sp.add_argument("--cap", type=int, default=200_000)
+    sp.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
 
     sp = add("equiv", _cmd_equiv, help="decide depth-n equivalence of two words")
     sp.add_argument("u")

@@ -1,15 +1,14 @@
 """Two-variable first-order logic on words: syntax, semantics, and ranker formulas.
 
-The model checker evaluates a formula on all assignments of the two
-variables at once, as an L*L bit table packed into a Python int (bit
-(i-1)*L + (j-1) is the truth value under x=i, y=j). Connectives are bit
-operations and quantifiers are row/column projections, which keeps
-exhaustive sweeps over small corpora cheap.
+The model checker keeps one |w|-bit column per subformula, set at bit p-1
+when the subformula holds with its free variable at p. With two variables,
+Ez.psi has at most one free variable, v: its column takes one bitwise
+evaluation of psi over z per placement of z against v and per group of v's
+positions on which psi's columns over v agree. Nothing outlives a check.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
@@ -20,7 +19,7 @@ from .errors import (
     SignatureError,
     UnknownLetterError,
 )
-from .rankers import AnyRanker, BoundaryPos, Direction
+from .rankers import AnyRanker, BoundaryPos, Direction, realized_rankers
 from .words import Alphabet, Word
 
 VARS = ("x", "y")
@@ -430,89 +429,92 @@ def formula_metrics(f: Formula) -> FormulaMetrics:
 
 # --- model checking --------------------------------------------------------
 
-class _BitContext:
-    """Per-word tables for the packed truth-table evaluation."""
+# each relation's truth at z - v = -2 (or less), -1, 0, 1, 2 (or more), z its right variable
+_PLACED = {Less: (0, 0, 0, 1, 1), Equal: (0, 0, 1, 0, 0), Suc: (0, 0, 0, 1, 0)}
+
+
+def _placements(relations: list[_Relation], z: str) -> dict[tuple[int, ...], list[int]]:
+    """The placements d = z - v that give each relation the same truth, keyed by those truths."""
+    rows = [_PLACED[type(r)][:: -1 if r.left == z else 1] for r in relations]
+    placements: dict[tuple[int, ...], list[int]] = {}
+    for d, truths in zip((-2, -1, 0, 1, 2), zip(*rows) if rows else [()] * 5):
+        placements.setdefault(truths, []).append(d)
+    return placements
+
+
+def _lift(c: int, d: int) -> int:
+    """The positions v with some z in column c at z - v = d (-2, 2: farther), before masking."""
+    if d == -2:
+        c = -(c & -c)  # every position from the lowest in c up
+    elif d == 2:
+        c = (1 << c.bit_length()) - 1  # every position up to the highest in c
+    return c << -d if d < 0 else c >> d
+
+
+class _Checker:
+    """The columns of one word, held only while one check runs."""
 
     def __init__(self, w: Word):
-        L = len(w)
-        self.L = L
-        self.rowbits = (1 << L) - 1
+        self.positions = (1 << len(w)) - 1
         # the empty word has one assignment, the empty one, in bit 0
-        self.full = (1 << (L * L)) - 1 if L else 1
-        # REPL * v replicates an L-bit column pattern to every row block
-        self.repl = sum(1 << (i * L) for i in range(L))
-        text = w.text
-        self.letter_rows: dict[str, int] = {}
-        self.letter_cols: dict[str, int] = {}
-        for a in set(text):
-            rows = 0
-            cols = 0
-            for i, c in enumerate(text):
-                if c == a:
-                    rows |= self.rowbits << (i * L)
-                    cols |= 1 << i
-            self.letter_rows[a] = rows
-            self.letter_cols[a] = cols * self.repl
-        lt_xy = 0
-        lt_yx = 0
-        eq_xy = 0
-        suc_xy = 0
-        suc_yx = 0
-        for i in range(L):
-            above = (self.rowbits >> (i + 1)) << (i + 1)
-            below = (1 << i) - 1
-            lt_xy |= above << (i * L)
-            lt_yx |= below << (i * L)
-            eq_xy |= 1 << (i * L + i)
-            if i + 1 < L:
-                suc_xy |= 1 << (i * L + i + 1)
-            if i - 1 >= 0:
-                suc_yx |= 1 << (i * L + i - 1)
-        self.lt_xy, self.lt_yx, self.eq_xy = lt_xy, lt_yx, eq_xy
-        self.suc_xy, self.suc_yx = suc_xy, suc_yx
+        self.full = self.positions or 1
+        text = w.text[::-1]
+        self.letters = {a: int("".join("1" if c == a else "0" for c in text), 2) for a in set(text)}
 
-    def eval(self, f: Formula) -> int:
-        L, full = self.L, self.full
-        if isinstance(f, LetterAtom):
-            table = self.letter_rows if f.var == "x" else self.letter_cols
-            return table.get(f.letter, 0)
-        if isinstance(f, Less):
-            if f.left == f.right:
-                return 0
-            return self.lt_xy if (f.left, f.right) == ("x", "y") else self.lt_yx
-        if isinstance(f, Equal):
-            return full if f.left == f.right else self.eq_xy
-        if isinstance(f, Suc):
-            if f.left == f.right:
-                return 0
-            return self.suc_xy if (f.left, f.right) == ("x", "y") else self.suc_yx
+    def split(self, f: Formula, z: str, parts: tuple | None = None) -> tuple:
+        """The leaves below f's connectives: columns over z by id, those over v, z-v relations."""
+        values, others, relations = parts = parts or ({}, [], [])
         if isinstance(f, Not):
-            return full ^ self.eval(f.body)
+            self.split(f.body, z, parts)
+        elif isinstance(f, _Binary):
+            self.split(f.left, z, parts)
+            self.split(f.right, z, parts)
+        elif isinstance(f, _Relation) and f.left == f.right:
+            values[id(f)] = self.full * _PLACED[type(f)][2]
+        elif isinstance(f, _Relation):
+            relations.append(f)
+        else:
+            if isinstance(f, LetterAtom):
+                col, var = self.letters.get(f.letter, 0), f.var
+            else:
+                col, var = self.quantify(f, self.split(f.body, f.var), self.positions), other_var(f.var)
+            if var == z:
+                values[id(f)] = col
+            else:
+                others.append((id(f), col))
+        return parts
+
+    def eval(self, f: Formula, values: dict[int, int]) -> int:
+        if id(f) in values:
+            return values[id(f)]
+        if isinstance(f, Not):
+            return self.full ^ self.eval(f.body, values)
         if isinstance(f, And):
-            return self.eval(f.left) & self.eval(f.right)
+            return self.eval(f.left, values) & self.eval(f.right, values)
         if isinstance(f, Or):
-            return self.eval(f.left) | self.eval(f.right)
-        if isinstance(f, Implies):
-            return (full ^ self.eval(f.left)) | self.eval(f.right)
-        if isinstance(f, _Quantifier):
-            # Av.phi is evaluated as !Ev.!phi
-            flip = full if isinstance(f, Forall) else 0
-            b = self.eval(f.body) ^ flip
-            out = 0
-            if f.var == "x":
-                for i in range(L):
-                    out |= (b >> (i * L)) & self.rowbits
-                return (out * self.repl) ^ flip
-            for i in range(L):
-                if (b >> (i * L)) & self.rowbits:
-                    out |= self.rowbits << (i * L)
-            return out ^ flip
-        raise TypeError(f"not a formula: {f!r}")
+            return self.eval(f.left, values) | self.eval(f.right, values)
+        return (self.full ^ self.eval(f.left, values)) | self.eval(f.right, values)
 
-
-@functools.lru_cache(maxsize=4096)
-def _bit_context(w: Word) -> _BitContext:
-    return _BitContext(w)
+    def quantify(self, q: _Quantifier, split: tuple, zs: int) -> int:
+        """The column of q = Qz.psi over v, the other variable, given psi split on z in range zs."""
+        values, others, relations = split
+        full = self.full
+        placements = _placements(relations, q.var)
+        groups = [full]
+        for _, col in others:
+            groups = [part for g in groups for part in (g & col, g & ~col) if part]
+        flip = full if isinstance(q, Forall) else 0  # Av.phi is !Ev.!phi
+        out = 0
+        for g in groups:
+            for key, col in others:
+                values[key] = full if g & col else 0
+            for truths, ds in placements.items():
+                for r, t in zip(relations, truths):
+                    values[id(r)] = full if t else 0
+                c = (self.eval(q.body, values) ^ flip) & zs
+                for d in ds if c else ():
+                    out |= _lift(c, d) & g
+        return out ^ flip
 
 
 def model_check(
@@ -531,10 +533,10 @@ def model_check(
     for name, p in (("x", x_pos), ("y", y_pos)):
         if p is not None and not 1 <= p <= L:
             raise ValueError(f"position {p} for {name} out of range [1, {L}]")
-    bits = _bit_context(w).eval(f)
-    i = (x_pos or 1) - 1
-    j = (y_pos or 1) - 1
-    return bool((bits >> (i * L + j)) & 1)
+    # f at x_pos is the column of Ey.f over x with y confined to y_pos
+    checker = _Checker(w)
+    column = checker.quantify(Exists("y", f), checker.split(f, "y"), 1 << ((y_pos or 1) - 1))
+    return bool(column >> ((x_pos or 1) - 1) & 1)
 
 
 def satisfying_positions(f: Formula, w: Word) -> tuple[int, ...]:
@@ -542,9 +544,9 @@ def satisfying_positions(f: Formula, w: Word) -> tuple[int, ...]:
     fv = free_vars(f)
     if not fv <= {"x"}:
         raise FreeVariableError(f"expected free variables within {{x}}, got {set(fv)}")
-    L = len(w)
-    bits = _bit_context(w).eval(f)
-    return tuple(i for i in range(1, L + 1) if (bits >> ((i - 1) * L)) & 1)
+    checker = _Checker(w)
+    column = checker.quantify(Exists("y", f), checker.split(f, "y"), checker.positions)
+    return tuple(i for i, bit in enumerate(format(column, "b")[::-1], 1) if bit == "1")
 
 
 # --- ranker formula synthesis ----------------------------------------------
@@ -690,8 +692,6 @@ class UniquePositionReport:
 
 
 def unique_position_report(f: Formula, corpus: Iterable[Word]) -> UniquePositionReport:
-    from .rankers import realized_rankers
-
     fv = free_vars(f)
     if fv != {"x"}:
         raise FreeVariableError(f"expected exactly the free variable x, got {set(fv)}")

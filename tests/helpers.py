@@ -40,7 +40,7 @@ def random_formula(rng, depth, alphabet=AB, signature=Signature.ORDER, bound=(),
     if kind in ("exists", "forall"):
         v = rng.choice("xy")
         body = random_formula(
-            rng, depth - 1, alphabet, signature, tuple(set(bound) | {v}), size - 1
+            rng, depth - 1, alphabet, signature, tuple(sorted(set(bound) | {v})), size - 1
         )
         return Exists(v, body) if kind == "exists" else Forall(v, body)
     if kind == "not":

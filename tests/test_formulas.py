@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -25,6 +26,7 @@ from fo2words import (
     eval_ranker,
     eval_suc_ranker,
     formula_metrics,
+    free_vars,
     model_check,
     nnf,
     parse_formula,
@@ -32,6 +34,7 @@ from fo2words import (
     realized_suc_rankers,
     render_formula,
     satisfying_positions,
+    shrink,
     synth_comparison,
     synth_definedness,
     synth_position,
@@ -116,6 +119,7 @@ def test_letter_vs_variable_disambiguation():
 # --- random formula corpus ---------------------------------------------------
 
 from helpers import random_formula  # noqa: E402
+from mc_reference import _BitContext  # noqa: E402
 
 
 def test_nnf_examples():
@@ -215,7 +219,7 @@ def test_model_check_requires_assignments():
 
 
 def test_model_check_brute_force_agreement():
-    # packed-table evaluation against a naive recursive evaluator
+    # column evaluation against a naive recursive evaluator
     def naive(f, w, env):
         if isinstance(f, LetterAtom):
             return w.letter(env[f.var]) == f.letter
@@ -245,6 +249,50 @@ def test_model_check_brute_force_agreement():
         w = W("".join(rng.choice("ab") for _ in range(rng.randint(1, 5))))
         i, j = rng.randint(1, len(w)), rng.randint(1, len(w))
         assert model_check(f, w, i, j) == naive(f, w, {"x": i, "y": j})
+
+
+def test_model_check_matches_table_reference():
+    # every assignment on every {a,b} word up to length 3, the empty word
+    # included, and on seeded longer words, against the L*L bit tables
+    words = [W("".join(t)) for n in range(4) for t in itertools.product("ab", repeat=n)]
+    rng = random.Random(2024)
+    words += [W("".join(rng.choice("ab") for _ in range(rng.randint(4, 8)))) for _ in range(6)]
+    rng = random.Random(5)
+    for signature in Signature:
+        for bound in [(), ("x",), ("y",), ("x", "y")]:
+            for _ in range(40):
+                f = random_formula(rng, 3, AB, signature, bound)
+                fv = free_vars(f)
+                for w in words:
+                    L = len(w)
+                    table = _BitContext(w).eval(f)
+                    positions = list(range(1, L + 1))
+                    xs = positions if "x" in fv else [None] + positions
+                    ys = positions if "y" in fv else [None] + positions
+                    for x, y in itertools.product(xs, ys):
+                        cell = ((x or 1) - 1) * L + (y or 1) - 1
+                        expected = bool(table >> cell & 1)
+                        assert model_check(f, w, x, y) is expected, (render_formula(f), w.text, x, y)
+                    if fv <= {"x"}:
+                        expected = tuple(i for i in positions if table >> ((i - 1) * L) & 1)
+                        assert satisfying_positions(f, w) == expected, (render_formula(f), w.text)
+
+
+def test_model_check_keeps_no_tables():
+    rng = random.Random(1500)
+    w = W("".join(rng.choice("ab") for _ in range(1500)))
+    f = parse_formula("Ax.(a(x) -> Ey.(x<y & b(y) & Ax.(y<x -> Ey.(x<y & a(y) & !b(x)))))", AB)
+    assert formula_metrics(f).quantifier_depth == 4
+    expected = model_check(f, shrink(w, 4))
+    tracemalloc.start()
+    try:
+        verdict = model_check(f, w)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict is expected
+    assert held < 500_000, held
+    assert peak < 1_000_000, peak
 
 
 def test_render_parse_round_trip():
