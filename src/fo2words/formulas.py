@@ -4,13 +4,15 @@ The model checker keeps one |w|-bit column per subformula, set at bit p-1
 when the subformula holds with its free variable at p. With two variables,
 Ez.psi has at most one free variable, v: its column takes one bitwise
 evaluation of psi over z per placement of z against v and per group of v's
-positions on which psi's columns over v agree. Nothing outlives a check.
+positions on which psi's columns over v agree. A formula is compiled once,
+equal subformulas sharing a column, and run per word; nothing outlives a run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import and_, or_, xor
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -433,15 +435,6 @@ def formula_metrics(f: Formula) -> FormulaMetrics:
 _PLACED = {Less: (0, 0, 0, 1, 1), Equal: (0, 0, 1, 0, 0), Suc: (0, 0, 0, 1, 0)}
 
 
-def _placements(relations: list[_Relation], z: str) -> dict[tuple[int, ...], list[int]]:
-    """The placements d = z - v that give each relation the same truth, keyed by those truths."""
-    rows = [_PLACED[type(r)][:: -1 if r.left == z else 1] for r in relations]
-    placements: dict[tuple[int, ...], list[int]] = {}
-    for d, truths in zip((-2, -1, 0, 1, 2), zip(*rows) if rows else [()] * 5):
-        placements.setdefault(truths, []).append(d)
-    return placements
-
-
 def _lift(c: int, d: int) -> int:
     """The positions v with some z in column c at z - v = d (-2, 2: farther), before masking."""
     if d == -2:
@@ -451,70 +444,115 @@ def _lift(c: int, d: int) -> int:
     return c << -d if d < 0 else c >> d
 
 
-class _Checker:
-    """The columns of one word, held only while one check runs."""
+class _Program:
+    """Ey.f compiled apart from any word; `column` runs it on one word.
 
-    def __init__(self, w: Word):
-        self.positions = (1 << len(w)) - 1
-        # the empty word has one assignment, the empty one, in bit 0
-        self.full = self.positions or 1
-        text = w.text[::-1]
-        self.letters = {a: int("".join("1" if c == a else "0" for c in text), 2) for a in set(text)}
+    Nodes are interned bottom-up, keyed by fields and child ids, so equal
+    subformulas share one id, register and column; registers 0 and 1 hold
+    all ones and 0. A quantifier's body lists its nodes outside nested
+    quantifiers by tag: the ids of its letters and quantifiers over x and
+    over y, its relations as (id, type, left variable) and its connectives
+    as (id, op, a, b), subformulas first, run as op(regs[a], regs[b]) on
+    bits exact below |w| (!a is a ^ regs[0]). Quantifiers come innermost
+    first, so Ey.f has the last id.
+    """
 
-    def split(self, f: Formula, z: str, parts: tuple | None = None) -> tuple:
-        """The leaves below f's connectives: columns over z by id, those over v, z-v relations."""
-        values, others, relations = parts = parts or ({}, [], [])
-        if isinstance(f, Not):
-            self.split(f.body, z, parts)
-        elif isinstance(f, _Binary):
-            self.split(f.left, z, parts)
-            self.split(f.right, z, parts)
-        elif isinstance(f, _Relation) and f.left == f.right:
-            values[id(f)] = self.full * _PLACED[type(f)][2]
-        elif isinstance(f, _Relation):
-            relations.append(f)
-        else:
-            if isinstance(f, LetterAtom):
-                col, var = self.letters.get(f.letter, 0), f.var
+    def __init__(self, f: Formula):
+        # a pre-order, reversed, puts every node after its subformulas, a None
+        # before each quantifier's body, and the class Not, which negates the
+        # node before it, after the a of each a -> b
+        order, stack = [], [Exists("y", f)]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            if isinstance(node, Implies):  # a -> b is !a | b
+                stack += (node.left, Not, node.right)
+            elif isinstance(node, _Binary):
+                stack += (node.left, node.right)
+            elif isinstance(node, Not):
+                stack.append(node.body)
+            elif isinstance(node, _Quantifier):
+                stack += (None, node.body)
+        # each node finds its subformulas' ids on top of `done` and joins the
+        # innermost open body, with the set of ids already in that body
+        interned: dict[tuple, int] = {}
+        self.letters: dict[int, str] = {}
+        self.quantifiers: list[tuple] = []
+        done, bodies = [], [({"x": [], "y": [], "rel": [], "op": []}, set())]
+        for node in reversed(order):
+            if node is None:
+                bodies.append(({"x": [], "y": [], "rel": [], "op": []}, set()))
+                continue
+            if isinstance(node, _Quantifier):
+                body, _ = bodies.pop()
+                tag, key = other_var(node.var), (type(node), node.var, done.pop())
+            elif isinstance(node, LetterAtom):
+                tag, key = node.var, (node.var, node.letter)
+            elif isinstance(node, _Relation) and node.left == node.right:
+                done.append(1 - _PLACED[type(node)][2])  # x=x is all ones, x<x and suc(x,x) are 0
+                continue
+            elif isinstance(node, _Relation):
+                tag, key = "rel", (type(node), node.left)
+            elif node is Not or isinstance(node, Not):
+                tag, key = "op", (xor, done.pop(), 0)
             else:
-                col, var = self.quantify(f, self.split(f.body, f.var), self.positions), other_var(f.var)
-            if var == z:
-                values[id(f)] = col
-            else:
-                others.append((id(f), col))
-        return parts
+                b, a = done.pop(), done.pop()
+                tag, key = "op", (and_ if isinstance(node, And) else or_, a, b)
+            new = key not in interned
+            n = interned.setdefault(key, len(interned) + 2)
+            if new and isinstance(node, _Quantifier):
+                self.quantifiers.append(self._compile(node, n, key[2], body))
+            elif new and isinstance(node, LetterAtom):
+                self.letters[n] = node.letter
+            parts, seen = bodies[-1]
+            if n not in seen:
+                seen.add(n)
+                parts[tag].append((n, *key) if tag in ("rel", "op") else n)
+            done.append(n)
+        self.size = len(interned) + 2
 
-    def eval(self, f: Formula, values: dict[int, int]) -> int:
-        if id(f) in values:
-            return values[id(f)]
-        if isinstance(f, Not):
-            return self.full ^ self.eval(f.body, values)
-        if isinstance(f, And):
-            return self.eval(f.left, values) & self.eval(f.right, values)
-        if isinstance(f, Or):
-            return self.eval(f.left, values) | self.eval(f.right, values)
-        return (self.full ^ self.eval(f.left, values)) | self.eval(f.right, values)
+    def _compile(self, q: _Quantifier, n: int, root: int, body: dict[str, list]) -> tuple:
+        """What `column` runs for Qz.psi: psi's body split on z, its placement classes."""
+        z = q.var
+        rows = [_PLACED[kind][:: -1 if left == z else 1] for _, kind, left in body["rel"]]
+        placements: dict[tuple[int, ...], list[int]] = {}  # d = z - v by the relations' truths
+        for d, truths in zip((-2, -1, 0, 1, 2), zip(*rows) if rows else [()] * 5):
+            placements.setdefault(truths, []).append(d)
+        return n, isinstance(q, Forall), body[z], body[other_var(z)], body["rel"], placements, body["op"], root
 
-    def quantify(self, q: _Quantifier, split: tuple, zs: int) -> int:
-        """The column of q = Qz.psi over v, the other variable, given psi split on z in range zs."""
-        values, others, relations = split
-        full = self.full
-        placements = _placements(relations, q.var)
-        groups = [full]
-        for _, col in others:
-            groups = [part for g in groups for part in (g & col, g & ~col) if part]
-        flip = full if isinstance(q, Forall) else 0  # Av.phi is !Ev.!phi
-        out = 0
-        for g in groups:
-            for key, col in others:
-                values[key] = full if g & col else 0
-            for truths, ds in placements.items():
-                for r, t in zip(relations, truths):
-                    values[id(r)] = full if t else 0
-                c = (self.eval(q.body, values) ^ flip) & zs
-                for d in ds if c else ():
-                    out |= _lift(c, d) & g
-        return out ^ flip
+    def column(self, w: Word, ys: int) -> int:
+        """The column of Ey.f over x on w, with y confined to the bits of ys."""
+        positions = (1 << len(w)) - 1
+        full = positions or 1  # the empty word has one assignment, the empty one, in bit 0
+        cols, regs = [0] * self.size, [-1] + [0] * (self.size - 1)
+        alphabet, text = "".join(w.alphabet.letters), w.text[::-1]
+        for n, letter in self.letters.items():
+            if letter in alphabet:
+                marks = "".join("1" if c == letter else "0" for c in alphabet)
+                cols[n] = int(text.translate(str.maketrans(alphabet, marks)) or "0", 2)
+        for n, forall, zleaves, vleaves, relations, placements, code, root in self.quantifiers:
+            zs = ys if n == self.size - 1 else positions
+            for r in zleaves:
+                regs[r] = cols[r]
+            groups = [full]
+            for r in vleaves:
+                col = cols[r]
+                groups = [part for g in groups for part in (g & col, g & ~col) if part]
+            flip = -forall  # Av.phi is !Ev.!phi
+            out = 0
+            for g in groups:
+                for r in vleaves:
+                    regs[r] = -1 if g & cols[r] else 0
+                for truths, ds in placements.items():
+                    for (r, _, _), t in zip(relations, truths):
+                        regs[r] = -t
+                    for dst, op, a, b in code:
+                        regs[dst] = op(regs[a], regs[b])
+                    c = (regs[root] ^ flip) & zs
+                    for d in ds if c else ():
+                        out |= _lift(c, d) & g
+            cols[n] = (out ^ flip) & full
+        return cols[-1]
 
 
 def model_check(
@@ -534,9 +572,11 @@ def model_check(
         if p is not None and not 1 <= p <= L:
             raise ValueError(f"position {p} for {name} out of range [1, {L}]")
     # f at x_pos is the column of Ey.f over x with y confined to y_pos
-    checker = _Checker(w)
-    column = checker.quantify(Exists("y", f), checker.split(f, "y"), 1 << ((y_pos or 1) - 1))
-    return bool(column >> ((x_pos or 1) - 1) & 1)
+    return bool(_Program(f).column(w, 1 << ((y_pos or 1) - 1)) >> ((x_pos or 1) - 1) & 1)
+
+
+def _ones(column: int) -> tuple[int, ...]:
+    return tuple(i for i, bit in enumerate(format(column, "b")[::-1], 1) if bit == "1")
 
 
 def satisfying_positions(f: Formula, w: Word) -> tuple[int, ...]:
@@ -544,9 +584,7 @@ def satisfying_positions(f: Formula, w: Word) -> tuple[int, ...]:
     fv = free_vars(f)
     if not fv <= {"x"}:
         raise FreeVariableError(f"expected free variables within {{x}}, got {set(fv)}")
-    checker = _Checker(w)
-    column = checker.quantify(Exists("y", f), checker.split(f, "y"), checker.positions)
-    return tuple(i for i, bit in enumerate(format(column, "b")[::-1], 1) if bit == "1")
+    return _ones(_Program(f).column(w, (1 << len(w)) - 1))
 
 
 # --- ranker formula synthesis ----------------------------------------------
@@ -696,9 +734,8 @@ def unique_position_report(f: Formula, corpus: Iterable[Word]) -> UniquePosition
     if fv != {"x"}:
         raise FreeVariableError(f"expected exactly the free variable x, got {set(fv)}")
     depth = max(1, formula_metrics(f).quantifier_depth)
-    positions: dict[Word, tuple[int, ...]] = {}
-    for w in corpus:
-        positions[w] = satisfying_positions(f, w)
+    program = _Program(f)
+    positions = {w: _ones(program.column(w, (1 << len(w)) - 1)) for w in corpus}
     is_unique = all(len(p) <= 1 for p in positions.values())
     coincidence: dict[Word, bool] = {}
     if is_unique:

@@ -12,7 +12,8 @@ actually occur in the word:
 
 Every step preserves depth-n equivalence, and the output length stays
 within bound(n, k) = 2n * (4n+2)^(k-1); exceeding that bound is a bug,
-not a tolerance issue, and is asserted.
+not a tolerance issue, and is asserted. The shortlex model search compiles
+its sentence once and runs the compiled program on every candidate word.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from .formulas import (
     LetterAtom,
     Less,
     Not,
+    _Program,
     conjoin,
     disjoin,
     formula_metrics,
-    model_check,
     other_var,
 )
 from .words import Alphabet, Word, segments
@@ -209,6 +210,7 @@ def sat_search(
         lengths = range(top + 1)
         definitive = top >= bound
         explored = top
+    program = _Program(formula)
     seen = 0
     for length in lengths:
         for combo in itertools.product(alphabet.letters, repeat=length):
@@ -216,7 +218,7 @@ def sat_search(
             if seen > word_budget:
                 raise SearchBudgetError(word_budget)
             w = Word(alphabet, "".join(combo))
-            if model_check(formula, w):
+            if program.column(w, 1) & 1:  # bit 0 with y at 1 is the truth of a sentence, as in model_check
                 return SatResult(SatStatus.SAT, w, length)
     status = SatStatus.UNSAT_DEFINITIVE if definitive else SatStatus.UNSAT_UP_TO_BOUND
     return SatResult(status, None, explored)

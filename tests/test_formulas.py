@@ -1,5 +1,6 @@
 import itertools
 import random
+import threading
 import tracemalloc
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from fo2words import (
     Alphabet,
     And,
+    Cnf,
     Equal,
     Exists,
     Forall,
@@ -23,6 +25,7 @@ from fo2words import (
     UnknownLetterError,
     Word,
     all_words,
+    cnf_to_fo2,
     eval_ranker,
     eval_suc_ranker,
     formula_metrics,
@@ -40,6 +43,7 @@ from fo2words import (
     synth_position,
     unique_position_report,
 )
+from fo2words.formulas import _Program
 
 AB = Alphabet(("a", "b"))
 
@@ -278,6 +282,53 @@ def test_model_check_matches_table_reference():
                         assert satisfying_positions(f, w) == expected, (render_formula(f), w.text)
 
 
+def test_one_program_matches_reference_across_words():
+    # One compiled program per formula runs on a sequence of words whose
+    # lengths go up and down, among them the empty word and words that lack a
+    # letter. A value kept from an earlier word, or two subformulas wrongly
+    # shared, changes some cell against the L*L bit tables.
+    def words(letters, seed):
+        rng = random.Random(seed)
+        out = []
+        for n, used in zip([3, 0, 6, 1, 8, 2, 5, 0, 7, 4], itertools.cycle([letters, letters[0], letters, letters[1]])):
+            out.append(Word(Alphabet(tuple(letters)), "".join(rng.choice(used) for _ in range(n))))
+        return out
+
+    def agrees(f, ws):
+        program = _Program(f)
+        fv = free_vars(f)
+        for w in ws:
+            L = len(w)
+            table = _BitContext(w).eval(f)
+            positions = list(range(1, L + 1))
+            xs = positions if "x" in fv else [None] + positions
+            ys = positions if "y" in fv else [None] + positions
+            for x, y in itertools.product(xs, ys):
+                cell = ((x or 1) - 1) * L + (y or 1) - 1
+                column = program.column(w, 1 << ((y or 1) - 1))
+                assert column >> ((x or 1) - 1) & 1 == table >> cell & 1, (render_formula(f), w.text, x, y)
+            if fv <= {"x"}:
+                expected = sum(1 << (i - 1) for i in positions if table >> ((i - 1) * L) & 1)
+                assert program.column(w, (1 << L) - 1) == expected, (render_formula(f), w.text)
+
+    ab_words = words("ab", 17)
+    rng = random.Random(88)
+    for signature in Signature:
+        for bound in [(), ("x",), ("y",), ("x", "y")]:
+            for _ in range(40):
+                agrees(random_formula(rng, 3, AB, signature, bound), ab_words)
+    psi = parse_formula("Ex.(a(x) & Ay.(x<y -> b(y)))", AB)
+    agrees(And(psi, Not(psi)), ab_words)
+    agrees(Or(psi, Not(parse_formula(render_formula(psi), AB))), ab_words)
+    # chi has x free: under Ex its letters are columns over the bound
+    # variable, under Ey they are columns over the free one
+    chi = Or(LetterAtom("a", "x"), Exists("y", And(Less("x", "y"), LetterAtom("b", "y"))))
+    agrees(And(Exists("x", chi), Forall("x", Exists("y", And(Less("y", "x"), chi)))), ab_words)
+    agrees(Exists("y", And(Equal("x", "y"), chi)), ab_words)
+    sentence, _ = cnf_to_fo2(Cnf(3, ((1, -2, 1), (2, 3, 2), (-1, -3, -1), (-2, 3))))
+    agrees(sentence, words("01", 23))
+
+
 def test_model_check_keeps_no_tables():
     rng = random.Random(1500)
     w = W("".join(rng.choice("ab") for _ in range(1500)))
@@ -293,6 +344,35 @@ def test_model_check_keeps_no_tables():
     assert verdict is expected
     assert held < 500_000, held
     assert peak < 1_000_000, peak
+
+
+def test_deep_formulas_still_check():
+    # 990 levels of one node kind each; the checker must not nest a Python
+    # frame per level beyond what free_vars already uses. The checks run on
+    # a fresh thread, whose stack starts as shallow as a script's, because
+    # the test runner's own frames would otherwise count against the limit.
+    depth = 990
+    quantified = Less("x", "y")
+    for i in range(depth):
+        quantified = (Exists if i % 4 < 2 else Forall)("xy"[i % 2], quantified)
+    negated = Exists("x", LetterAtom("a", "x"))
+    for _ in range(depth):
+        negated = Not(negated)
+    conjoined = Exists("x", LetterAtom("b", "x"))
+    for i in range(depth):
+        conjoined = And(Exists("x", LetterAtom("ab"[i % 2], "x")), conjoined)
+    cases = [(quantified, "ab", "a"), (negated, "ba", "bb"), (conjoined, "ab", "aa")]
+    verdicts = []
+
+    def check():
+        for f, true_on, false_on in cases:
+            verdicts.append((model_check(f, W(true_on)), model_check(f, W(false_on))))
+
+    thread = threading.Thread(target=check)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert verdicts == [(True, False)] * len(cases)
 
 
 def test_render_parse_round_trip():

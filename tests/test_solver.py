@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from fo2words import (
     cnf_brute_force,
     cnf_to_fo2,
     eval_ranker,
+    formula_metrics,
     game_equiv,
     model_check,
     parse_dimacs,
@@ -26,7 +28,9 @@ from fo2words import (
     small_model_bound,
     synth_definedness,
 )
+from fo2words import formulas
 from fo2words.solver import CNF_ALPHABET, _left_partition, _right_partition
+from helpers import random_sentence
 
 A1 = Alphabet(("a",))
 AB = Alphabet(("a", "b"))
@@ -213,6 +217,43 @@ def test_sat_search_preconditions():
     for bounds in ({"max_len": -1}, {"max_len": -3}, {"exact_len": -1}):
         with pytest.raises(ValueError, match="must be >= 0"):
             sat_search(parse_formula("Ex. a(x)", A1), A1, **bounds)
+
+
+def test_sat_search_matches_model_check_scan():
+    # the search against a plain shortlex scan that checks each word afresh
+    def scan(f, max_len):
+        bound = small_model_bound(max(1, formula_metrics(f).quantifier_depth), len(AB))
+        top = min(max_len, bound)
+        for length in range(top + 1):
+            for combo in itertools.product(AB.letters, repeat=length):
+                if model_check(f, Word(AB, "".join(combo))):
+                    return {"status": "sat", "witness": "".join(combo), "exploredBound": length}
+        status = "unsat-definitive" if top >= bound else "unsat-up-to-bound"
+        return {"status": status, "witness": None, "exploredBound": top}
+
+    rng = random.Random(606)
+    statuses = set()
+    for _ in range(200):
+        f = random_sentence(rng, rng.randint(1, 2))
+        result = sat_search(f, AB, max_len=6).to_json_dict()
+        assert result == scan(f, 6), render_formula(f)
+        statuses.add(result["status"])
+    assert statuses == {"sat", "unsat-up-to-bound"}
+
+
+def test_sat_search_compiles_once(monkeypatch):
+    compiled = []
+    compile_formula = formulas._Program.__init__
+
+    def counting(self, f):
+        compiled.append(f)
+        compile_formula(self, f)
+
+    monkeypatch.setattr(formulas._Program, "__init__", counting)
+    f = parse_formula("Ex.Ay.(y<x & x<y)", AB)
+    result = sat_search(f, AB, max_len=5)
+    assert result.status is SatStatus.UNSAT_UP_TO_BOUND and result.explored_bound == 5
+    assert len(compiled) == 1 and compiled[0] is f
 
 
 def test_sat_search_up_to_bound():
