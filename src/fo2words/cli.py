@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 = computed (whatever the verdict), 1 = usage error,
-2 = resource cap exceeded, 3 = cross-check disagreement (equiv --method both).
+2 = resource cap exceeded (input nested past the recursion limit among
+them), 3 = cross-check disagreement (equiv --method both).
 
 Word and ranker arguments are taken inline; `-` reads them from stdin and
 `@path` reads them from a file (first line, trailing newline stripped).
@@ -24,7 +25,7 @@ from .equivalence import (
     suc_ranker_equiv,
     suc_ranker_equiv_alt,
 )
-from .errors import FormulaError, ResourceCapError
+from .errors import ResourceCapError
 from .formulas import (
     Signature,
     formula_metrics,
@@ -370,7 +371,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ResourceCapError as e:
         print(f"error[resource-cap]: {e}", file=sys.stderr)
         return 2
-    except (FormulaError, _UsageError, ValueError, OSError) as e:
+    except RecursionError:
+        limit = sys.getrecursionlimit()
+        print(f"error[resource-cap]: input nests past the recursion limit ({limit})", file=sys.stderr)
+        return 2
+    except (ValueError, OSError) as e:  # FormulaError and _UsageError among them
         print(f"error[usage]: {e}", file=sys.stderr)
         return 1
 

@@ -11,27 +11,31 @@ isomorphism and a one-pair relation M_k holds of (x_u, x_v) and of
 (y_u, y_v). M_0 is letter equality. A move level intersects M_{k-1} with
 the pairs (i, j) from which every Samson move p on one word has an answer
 q with (p, q) in M_{k-1} and q placed relative to j as p is relative to i.
-For the order that set is an interval of j in every row i: the moves
+For a move on u that set is an interval of j in every row i: the moves
 p < i need j above the first answer of each row p < i, and the moves
-p > i need j below the last answer of each row p > i. With successor the
-neighbours i-1 and i+1 are checked bit by bit, and the far ranges start
-at i-2 and i+2. A move on v is the same computation on the transposed
-relation. An alternation budget keeps one relation per (budget, side of
-the previous move) and intersects the same-side move with the other-side
-move at budget-1.
+p > i need j below the last answer of each row p > i. For a move on v it
+is an interval too: the rows p < i together must answer every column
+q < j, and the rows p > i every column q > j. With successor the
+neighbours (i-1, j-1) and (i+1, j+1) are checked bit by bit, and the far
+ranges start two positions away. An alternation budget keeps one
+relation per (budget, side of the previous move) and intersects the
+same-side move with the other-side move at budget-1.
 
 A relation is a list of |u| Python ints, one row per position i of u,
-with bit j-1 set when (i, j) is in the relation. Only two consecutive move
-levels are kept live; their cells, (|u|+1)(|v|+1) per relation, are
-checked against a cap before any relation is built, so blowup surfaces as
-an error rather than an approximation.
+with bit j-1 set when (i, j) is in the relation; moves on both words are
+computed from these rows. Only two consecutive move levels are kept
+live; their cells, (|u|+1)(|v|+1) per relation, are checked against a
+cap before any relation is built, so blowup surfaces as an error rather
+than an approximation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from itertools import accumulate
+from operator import and_, or_
 from typing import Optional
 
 from .errors import GameResourceError
@@ -92,36 +96,39 @@ def partial_iso(c: GameConfig) -> bool:
     return True
 
 
-def _transpose(rows: list[int], width: int) -> list[int]:
-    """The relation with the two words swapped: `width` rows of len(rows) bits."""
-    if not rows or not width:
-        return [0] * width
-    bits = [format(row, f"0{width}b") for row in rows]  # most significant bit first
-    return [int("".join(col)[::-1], 2) for col in zip(*bits)][::-1]
+def _other(side: Side) -> Side:
+    return Side.V if side is Side.U else Side.U
 
 
-def _answered(rows: list[int], width: int, successor: bool) -> list[int]:
-    """The pairs (i, j) from which every move p != i on the row word has an
-    answer q with (p, q) in `rows` and q placed relative to j as p is to i.
+def _answered(rows: list[int], width: int, successor: bool, side: Side) -> list[int]:
+    """The pairs (i, j) from which every move on `side`, other than onto i or
+    j itself, has an answer in `rows` placed relative to (i, j) as the move is.
 
-    The move p = i needs (i, j) itself in `rows`; callers intersect with it.
+    The move onto i or j itself needs (i, j) in `rows`; callers intersect with it.
     """
     gap = 2 if successor else 1
-    n = len(rows)
-    # an empty row's first answer lies past the last bit and its last one
-    # before bit 0, so no j passes it
-    max_first = list(accumulate(((r & -r).bit_length() - 1 if r else width for r in rows), max))
-    min_last = list(accumulate((r.bit_length() - 1 for r in reversed(rows)), min))[::-1]
+    n, full = len(rows), (1 << width) - 1
+    if side is Side.U:
+        # each move p <= i-gap needs j >= first(row p) + gap, and each move
+        # p >= i+gap needs j <= last(row p) - gap; an empty row allows no j
+        below = accumulate((full & -((r & -r) << gap) for r in rows), and_, initial=full)
+        above = accumulate(((1 << max(r.bit_length() - gap, 0)) - 1 for r in reversed(rows)),
+                           and_, initial=full)
+    else:
+        # the moves q <= j-gap need answers in the rows p <= i-gap, so their
+        # union holds the columns 0..j-gap; likewise above i+gap and j+gap
+        below = (full & (((~c & c + 1) << gap) - 1) for c in accumulate(rows, or_, initial=0))
+        above = (full & -(1 << max((full & ~d).bit_length() - gap, 0))
+                 for d in accumulate(reversed(rows), or_, initial=0))
+    below, above, top = list(below), list(above), (full + 1) >> 1
     out = []
-    for i, row in enumerate(rows):
-        lo = max_first[i - gap] + gap if i >= gap else 0
-        hi = min_last[i + gap] - gap if i + gap < n else width - 1
-        mask = (1 << (hi + 1)) - (1 << lo) if lo <= hi else 0
-        if successor:
-            if i >= 1:
-                mask &= rows[i - 1] << 1
-            if i + 1 < n:
-                mask &= rows[i + 1] >> 1
+    for i in range(n):
+        mask = below[max(i + 1 - gap, 0)] & above[max(n - i - gap, 0)]
+        if successor and side is Side.U:  # the moves i-1 and i+1
+            mask &= (rows[i - 1] << 1 if i else full) & (rows[i + 1] >> 1 if i + 1 < n else full)
+        elif successor:  # the moves j-1 and j+1, where they exist
+            mask &= rows[i - 1] << 1 | 1 if i else 1
+            mask &= rows[i + 1] >> 1 | top if i + 1 < n else top
         out.append(mask)
     return out
 
@@ -141,21 +148,15 @@ class _Solver:
             raise GameResourceError(needed, self.cap)
 
     def _levels_needed(self, n: int, budget: Optional[int], sides: list[Side]) -> list[set]:
-        """Which (budget, last-side) relations each move level requires."""
-        if n == 0:
-            return []
-        needed = [set() for _ in range(n)]
+        """Which (budget, last-side) relations each move level requires: k levels
+        below the top, budget B-k' after k' <= min(k, B) changes of side."""
         if budget is None:
-            for d in range(n):
-                needed[d].add((None, None))
-            return needed
-        needed[n - 1] = {(budget, s) for s in sides}
-        for d in range(n - 1, 0, -1):
-            for b, last in needed[d]:
-                needed[d - 1].add((b, last))
-                if b >= 1:
-                    needed[d - 1].add((b - 1, Side.V if last is Side.U else Side.U))
-        return needed
+            return [{(None, None)} for _ in range(n)]
+        return [
+            {(budget - k, s if k % 2 == 0 else _other(s))
+             for s in sides for k in range(min(n - 1 - d, budget) + 1)}
+            for d in range(n)
+        ]
 
     def level_relations(self, n: int, budget: Optional[int], sides: list[Side]) -> dict:
         """Relations for the last move level (n-1 moves left), built bottom-up."""
@@ -174,24 +175,19 @@ class _Solver:
             prev = {key: self._build(prev, *key) for key in needed[d]}
         return prev
 
-    def _answered_on(self, rows: list[int], side: Side) -> list[int]:
-        if side is Side.U:
-            return _answered(rows, self.lv, self.with_successor)
-        moved = _answered(_transpose(rows, self.lv), self.lu, self.with_successor)
-        return _transpose(moved, self.lu)
-
     def _build(self, prev: dict, budget: Optional[int], last: Optional[Side]) -> list[int]:
         if budget is None:
             child = prev[(None, None)]
             moves = [(Side.U, child), (Side.V, child)]
         else:
-            other = Side.V if last is Side.U else Side.U
+            other = _other(last)
             moves = [(last, prev[(budget, last)])]
             if budget >= 1:
                 moves.append((other, prev[(budget - 1, other)]))
         rows = moves[0][1]
         for side, child in moves:
-            rows = [r & c & a for r, c, a in zip(rows, child, self._answered_on(child, side))]
+            answered = _answered(child, self.lv, self.with_successor, side)
+            rows = [r & c & a for r, c, a in zip(rows, child, answered)]
         return rows
 
     def solve(
@@ -233,21 +229,24 @@ class _Solver:
         """Samson's first move on `side` that Delilah cannot answer within `rows`:
         pebble x before y, then ascending position."""
         i1, i2, j1, j2 = start
-        width = self.lv
-        if side is Side.V:
-            rows, width = _transpose(rows, self.lv), self.lu
-            i1, i2, j1, j2 = j1, j2, i1, i2
         cmp = suc_order_type if self.with_successor else order_type
         for pebble, (i, j) in (("x", (i2, j2)), ("y", (i1, j1))):
             # the other pebble pair stays on (i, j), which must itself stay in
-            # the relation; 0 means it is not placed
-            by_type: dict = {}
-            if i and rows[i - 1] >> (j - 1) & 1:
-                for q in range(1, width + 1):
-                    by_type[cmp(q, j)] = by_type.get(cmp(q, j), 0) | 1 << (q - 1)
-            for p, row in enumerate(rows, 1):
-                if not row & (by_type.get(cmp(p, i), 0) if i else -1):
-                    return (pebble, p)
+            # the relation; 0 means it is not placed. Answers keep the move's
+            # type to the other pebble, so group the columns by type to j.
+            cols: dict = {}
+            if not i or rows[i - 1] >> (j - 1) & 1:
+                for q in range(1, self.lv + 1):
+                    key = cmp(q, j) if j else None
+                    cols[key] = cols.get(key, 0) | 1 << (q - 1)
+            answers = (row & cols.get(cmp(p, i) if i else None, 0) for p, row in enumerate(rows, 1))
+            if side is Side.U:
+                move = next((p for p, a in enumerate(answers, 1) if not a), 0)
+            else:
+                missing = ~reduce(or_, answers, 0) & ((1 << self.lv) - 1)
+                move = (missing & -missing).bit_length()
+            if move:
+                return (pebble, move)
         return None
 
 

@@ -188,10 +188,6 @@ def alphabet_collapse_check(u: Word, v: Word, n: int) -> bool:
     Returns the implication "equivalent at (|alphabet|+1, n) implies
     equivalent at n", which is expected to always hold.
     """
-    if u.alphabet != v.alphabet:
-        raise AlphabetMismatchError(
-            f"words use different alphabets: {u.alphabet} vs {v.alphabet}"
-        )
     k = len(u.alphabet)
     alt = _structure_check(u, v, n, k + 1, successor=False)
     if not alt.verdict:

@@ -583,7 +583,7 @@ def satisfying_positions(f: Formula, w: Word) -> tuple[int, ...]:
     """All positions i with (w, i) |= f, for formulas whose only free variable is x."""
     fv = free_vars(f)
     if not fv <= {"x"}:
-        raise FreeVariableError(f"expected free variables within {{x}}, got {set(fv)}")
+        raise FreeVariableError(f"expected free variables within {{x}}, got {{{', '.join(sorted(fv))}}}")
     return _ones(_Program(f).column(w, (1 << len(w)) - 1))
 
 
@@ -732,7 +732,7 @@ class UniquePositionReport:
 def unique_position_report(f: Formula, corpus: Iterable[Word]) -> UniquePositionReport:
     fv = free_vars(f)
     if fv != {"x"}:
-        raise FreeVariableError(f"expected exactly the free variable x, got {set(fv)}")
+        raise FreeVariableError(f"expected exactly the free variable x, got {{{', '.join(sorted(fv))}}}")
     depth = max(1, formula_metrics(f).quantifier_depth)
     program = _Program(f)
     positions = {w: _ones(program.column(w, (1 << len(w)) - 1)) for w in corpus}

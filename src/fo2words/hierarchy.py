@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .efgames import game_equiv_alt
+from .efgames import DEFAULT_GAME_CAP, game_equiv_alt
 from .equivalence import ranker_equiv_alt, suc_ranker_equiv_alt
 from .formulas import Signature, model_check, parse_formula
 from .rankers import BoundaryPos, Direction, Ranker, eval_ranker
@@ -187,12 +187,10 @@ def verify_hierarchy_level(
     successor = signature is Signature.ORDER_SUC
     pair = witness_words_suc(m, n) if successor else witness_words(m, n)
     u, v = pair.u, pair.v
-    game_kwargs = {"with_successor": successor}
-    if game_cap is not None:
-        game_kwargs["cap"] = game_cap
+    cap = DEFAULT_GAME_CAP if game_cap is None else game_cap
 
     # the game first: over its cell cap it fails before any other work
-    indist_game = game_equiv_alt(u, v, m - 1, n, **game_kwargs).delilah_wins
+    indist_game = game_equiv_alt(u, v, m - 1, n, with_successor=successor, cap=cap).delilah_wins
     indist_ranker: Optional[bool] = None
     if m >= 2:
         decider = suc_ranker_equiv_alt if successor else ranker_equiv_alt
@@ -215,7 +213,7 @@ def verify_hierarchy_level(
         else:
             ranker_separation = False
         for depth in range(1, bound + 1):
-            if not game_equiv_alt(u, v, m, depth, **game_kwargs).delilah_wins:
+            if not game_equiv_alt(u, v, m, depth, with_successor=successor, cap=cap).delilah_wins:
                 separation_depth = depth
                 break
     else:

@@ -199,6 +199,31 @@ def test_verify_hierarchy_over_game_cap_exits_2(capsys):
     assert "Traceback" not in err and out == ""
 
 
+DEEP_INPUTS = {
+    "check-5000-negations": ("check", "!" * 5000 + "Ex.a(x)", "a"),
+    "check-3000-parentheses": ("check", "(" * 3000 + "Ex.a(x)" + ")" * 3000, "a"),
+    "metrics-1500-quantifiers": ("metrics", "Ex.Ey." * 750 + "a(x)"),
+    "reduce-cnf-1500-variables": ("reduce-cnf", "p cnf 1500 1\n1 0\n"),
+}
+
+
+@pytest.mark.parametrize("case", [*DEEP_INPUTS, "synth-1000-steps"])
+def test_deep_input_exits_2_without_traceback(case, tmp_path, capsys):
+    # the formula walkers are recursive; input nested past the recursion
+    # limit is reported as a resource cap, in one line
+    if case in DEEP_INPUTS:
+        command, source, *rest = DEEP_INPUTS[case]
+        f = tmp_path / "input.txt"
+        f.write_text(source)
+        argv = [command, str(f), *rest]
+    else:
+        argv = ["synth", ">a" * 1000]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error[resource-cap]: ")
+    assert "recursion limit" in err and "Traceback" not in err
+
+
 def test_cli_imports_without_numpy():
     # the library has no runtime dependency; only the tests' reference solver uses numpy
     check = "import fo2words.cli, sys; assert 'numpy' not in sys.modules"

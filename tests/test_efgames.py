@@ -1,4 +1,5 @@
 import random
+from itertools import accumulate
 
 import pytest
 
@@ -16,6 +17,7 @@ from fo2words import (
     partial_iso,
     ranker_equiv,
 )
+from fo2words.efgames import DEFAULT_GAME_CAP, _answered, _Solver
 import game_reference as reference
 from helpers import random_sentence
 
@@ -315,3 +317,57 @@ def test_long_words_run_under_default_cap():
     assert verdict.delilah_wins is ranker_equiv(u, w, 4).verdict is False
     assert verdict.first_winning_samson_move is not None
     assert game_equiv(u, u, 4, with_successor=True).delilah_wins is True
+
+
+def _transpose(rows, width):
+    """The relation with the two words swapped: `width` rows of len(rows) bits."""
+    if not rows or not width:
+        return [0] * width
+    bits = [format(row, f"0{width}b") for row in rows]  # most significant bit first
+    return [int("".join(col)[::-1], 2) for col in zip(*bits)][::-1]
+
+
+def _answered_by_interval(rows, width, successor):
+    """A move on u, read off each row's first and last answer."""
+    gap = 2 if successor else 1
+    n = len(rows)
+    max_first = list(accumulate(((r & -r).bit_length() - 1 if r else width for r in rows), max))
+    min_last = list(accumulate((r.bit_length() - 1 for r in reversed(rows)), min))[::-1]
+    out = []
+    for i in range(n):
+        lo = max_first[i - gap] + gap if i >= gap else 0
+        hi = min_last[i + gap] - gap if i + gap < n else width - 1
+        mask = (1 << (hi + 1)) - (1 << lo) if lo <= hi else 0
+        if successor:
+            if i >= 1:
+                mask &= rows[i - 1] << 1
+            if i + 1 < n:
+                mask &= rows[i + 1] >> 1
+        out.append(mask)
+    return out
+
+
+@pytest.mark.parametrize("successor", [False, True], ids=["plain", "suc"])
+def test_move_rules_match_the_transposed_relation(successor):
+    # a move on v is a move on u with the words swapped
+    rng = random.Random(9)
+    for _ in range(4_000):
+        lu, lv = rng.randint(0, 9), rng.randint(0, 9)
+        density = rng.random()
+        rows = [sum(1 << j for j in range(lv) if rng.random() < density) for _ in range(lu)]
+        assert _answered(rows, lv, successor, Side.U) == _answered_by_interval(rows, lv, successor)
+        swapped = _answered_by_interval(_transpose(rows, lv), lu, successor)
+        assert _answered(rows, lv, successor, Side.V) == _transpose(swapped, lu), (rows, lv)
+
+
+def test_relation_keys_match_propagation():
+    # the keys, and so the live-relation count under the cap, are those the
+    # reference solver reaches by propagating down from the top level
+    word = W("ab")
+    for n in range(12):
+        for budget in [None, *range(12)]:
+            for sides in ([Side.U, Side.V], [Side.U], [Side.V]):
+                got = _Solver(word, word, False, DEFAULT_GAME_CAP)._levels_needed(n, budget, sides)
+                want = reference._Solver(word, word, False, DEFAULT_GAME_CAP)._levels_needed(
+                    n, budget, sides)
+                assert got == want, (n, budget, sides)

@@ -72,6 +72,8 @@ def test_suc_ranker_equiv_alt_examples():
 def test_alphabet_mismatch():
     with pytest.raises(AlphabetMismatchError):
         ranker_equiv(W("ab"), Word(ABX, "ab"), 1)
+    with pytest.raises(AlphabetMismatchError, match="words use different alphabets"):
+        alphabet_collapse_check(W("ab"), Word(ABX, "ab"), 1)
 
 
 def test_witness_validity():

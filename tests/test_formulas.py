@@ -1,7 +1,11 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -220,6 +224,32 @@ def test_model_check_requires_assignments():
         model_check(parse_formula("a(x)", AB), W("ab"))
     with pytest.raises(ValueError):
         model_check(parse_formula("a(x)", AB), W("ab"), x_pos=3)
+
+
+_FREE_VARIABLE_MESSAGES = [
+    "expected free variables within {x}, got {x, y}",
+    "expected exactly the free variable x, got {x, y}",
+]
+_PRINT_FREE_VARIABLE_MESSAGES = """
+from fo2words import Alphabet, FreeVariableError, Word, parse_formula
+from fo2words import satisfying_positions, unique_position_report
+f, w = parse_formula("a(x) & b(y)", Alphabet(("a", "b"))), Word(Alphabet(("a", "b")), "ab")
+for call in (lambda: satisfying_positions(f, w), lambda: unique_position_report(f, [w])):
+    try:
+        call()
+    except FreeVariableError as e:
+        print(e)
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_free_variable_messages_do_not_depend_on_hash_seed(hash_seed):
+    # the variable names are rendered sorted, whatever order the set holds them in
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", _PRINT_FREE_VARIABLE_MESSAGES],
+                            env=env, capture_output=True, text=True)
+    assert result.stdout.splitlines() == _FREE_VARIABLE_MESSAGES, result.stderr
 
 
 def test_model_check_brute_force_agreement():
