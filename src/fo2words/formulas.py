@@ -21,7 +21,7 @@ from .errors import (
     SignatureError,
     UnknownLetterError,
 )
-from .rankers import AnyRanker, BoundaryPos, Direction, realized_rankers
+from .rankers import AnyRanker, BoundaryPos, Direction, _walk
 from .words import Alphabet, Word
 
 VARS = ("x", "y")
@@ -520,16 +520,16 @@ class _Program:
             placements.setdefault(truths, []).append(d)
         return n, isinstance(q, Forall), body[z], body[other_var(z)], body["rel"], placements, body["op"], root
 
-    def column(self, w: Word, ys: int) -> int:
-        """The column of Ey.f over x on w, with y confined to the bits of ys."""
-        positions = (1 << len(w)) - 1
+    def column(self, text: str, alphabet: Alphabet, ys: int) -> int:
+        """The column of Ey.f over x on text, a word over alphabet, with y confined to the bits of ys."""
+        positions = (1 << len(text)) - 1
         full = positions or 1  # the empty word has one assignment, the empty one, in bit 0
         cols, regs = [0] * self.size, [-1] + [0] * (self.size - 1)
-        alphabet, text = "".join(w.alphabet.letters), w.text[::-1]
+        letters, text = "".join(alphabet.letters), text[::-1]
         for n, letter in self.letters.items():
-            if letter in alphabet:
-                marks = "".join("1" if c == letter else "0" for c in alphabet)
-                cols[n] = int(text.translate(str.maketrans(alphabet, marks)) or "0", 2)
+            if letter in letters:
+                marks = "".join("1" if c == letter else "0" for c in letters)
+                cols[n] = int(text.translate(str.maketrans(letters, marks)) or "0", 2)
         for n, forall, zleaves, vleaves, relations, placements, code, root in self.quantifiers:
             zs = ys if n == self.size - 1 else positions
             for r in zleaves:
@@ -572,7 +572,7 @@ def model_check(
         if p is not None and not 1 <= p <= L:
             raise ValueError(f"position {p} for {name} out of range [1, {L}]")
     # f at x_pos is the column of Ey.f over x with y confined to y_pos
-    return bool(_Program(f).column(w, 1 << ((y_pos or 1) - 1)) >> ((x_pos or 1) - 1) & 1)
+    return bool(_Program(f).column(w.text, w.alphabet, 1 << ((y_pos or 1) - 1)) >> ((x_pos or 1) - 1) & 1)
 
 
 def _ones(column: int) -> tuple[int, ...]:
@@ -584,7 +584,7 @@ def satisfying_positions(f: Formula, w: Word) -> tuple[int, ...]:
     fv = free_vars(f)
     if not fv <= {"x"}:
         raise FreeVariableError(f"expected free variables within {{x}}, got {{{', '.join(sorted(fv))}}}")
-    return _ones(_Program(f).column(w, (1 << len(w)) - 1))
+    return _ones(_Program(f).column(w.text, w.alphabet, (1 << len(w)) - 1))
 
 
 # --- ranker formula synthesis ----------------------------------------------
@@ -735,12 +735,11 @@ def unique_position_report(f: Formula, corpus: Iterable[Word]) -> UniquePosition
         raise FreeVariableError(f"expected exactly the free variable x, got {{{', '.join(sorted(fv))}}}")
     depth = max(1, formula_metrics(f).quantifier_depth)
     program = _Program(f)
-    positions = {w: _ones(program.column(w, (1 << len(w)) - 1)) for w in corpus}
+    positions = {w: _ones(program.column(w.text, w.alphabet, (1 << len(w)) - 1)) for w in corpus}
     is_unique = all(len(p) <= 1 for p in positions.values())
     coincidence: dict[Word, bool] = {}
     if is_unique:
         for w, p in positions.items():
             if len(p) == 1:
-                realized = realized_rankers(w, depth)
-                coincidence[w] = p[0] in set(realized.positions.values())
+                coincidence[w] = p[0] in _walk(w, w, depth, None, False)[1]  # realized positions
     return UniquePositionReport(positions, is_unique, coincidence, depth)

@@ -1,24 +1,23 @@
 """Bounded-alphabet satisfiability: small models, model shrinking, CNF reduction.
 
 The shrinking procedure recurses on the number of distinct letters k that
-actually occur in the word:
-
-  k = 1   keep the first n and last n letters;
-  k > 1   cut every maximal constant run to at most 2n letters, compute the
-          canonical left and right partitions into "k-1-letter piece +
-          separating run" blocks, then either keep only the first n blocks
-          from each end (many blocks) or keep all separating runs and
-          recurse on the gaps between them (few blocks).
+actually occur in the word. It cuts every maximal constant run to at most
+2n letters, all that a one-letter word needs, splits the result in one pass
+over its runs into "k-1-letter piece + separating run" blocks from the left
+and from the right, then either keeps only the first n blocks from each end
+(many blocks) or keeps all separating runs and recurses on the gaps between
+them (few blocks).
 
 Every step preserves depth-n equivalence, and the output length stays
 within bound(n, k) = 2n * (4n+2)^(k-1); exceeding that bound is a bug,
 not a tolerance issue, and is asserted. The shortlex model search compiles
-its sentence once and runs the compiled program on every candidate word.
+its sentence once and runs it on the text of every candidate word.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -38,7 +37,7 @@ from .formulas import (
     formula_metrics,
     other_var,
 )
-from .words import Alphabet, Word, segments
+from .words import Alphabet, Word
 
 DEFAULT_WORD_BUDGET = 500_000
 
@@ -50,12 +49,11 @@ def small_model_bound(n: int, k: int) -> int:
     return 2 * n * (4 * n + 2) ** (k - 1)
 
 
+_RUN = re.compile(r"(.)\1*")  # a maximal constant run: letters are visible, so `.` matches each
+
+
 def _cut_runs(text: str, n: int) -> str:
-    out = []
-    for seg in segments(text):
-        length = min(len(seg), 2 * n)
-        out.append(seg.letter * length)
-    return "".join(out)
+    return _RUN.sub(lambda m: m[0][: 2 * n], text)
 
 
 def _left_partition(text: str) -> tuple[list[str], list[tuple[int, int]], str]:
@@ -66,22 +64,18 @@ def _left_partition(text: str) -> tuple[list[str], list[tuple[int, int]], str]:
     missing letter. Returns (pieces, run intervals as 0-based [start, end),
     tail). The tail uses strictly fewer distinct letters than text.
     """
-    letters = set(text)
+    k = len(set(text))
     pieces: list[str] = []
     runs: list[tuple[int, int]] = []
-    pos = 0
-    while True:
-        # one find per letter: the scan is O(k * len(text)) in total
-        firsts = [text.find(c, pos) for c in letters]
-        if min(firsts) < 0:
-            return pieces, runs, text[pos:]
-        f = max(firsts)
-        end = f
-        while end < len(text) and text[end] == text[f]:
-            end += 1
-        pieces.append(text[pos:f])
-        runs.append((f, end))
-        pos = end
+    pos, seen = 0, set()
+    # the run whose letter completes the current piece's letter set separates it
+    for m in _RUN.finditer(text):
+        seen.add(m[1])
+        if len(seen) == k:
+            pieces.append(text[pos : m.start()])
+            runs.append(m.span())
+            pos, seen = m.end(), set()
+    return pieces, runs, text[pos:]
 
 
 def _right_partition(text: str) -> tuple[list[str], list[tuple[int, int]], str]:
@@ -115,10 +109,6 @@ def _shrink_text(text: str, n: int) -> str:
     k = len(set(text))
     if k == 0:
         return text
-    if k == 1:
-        if len(text) <= 2 * n:
-            return text
-        return text[:n] + text[-n:]
     wp = _cut_runs(text, n)
     lpieces, lruns, _ = _left_partition(wp)
     rpieces, rruns, _ = _right_partition(wp)
@@ -217,9 +207,9 @@ def sat_search(
             seen += 1
             if seen > word_budget:
                 raise SearchBudgetError(word_budget)
-            w = Word(alphabet, "".join(combo))
-            if program.column(w, 1) & 1:  # bit 0 with y at 1 is the truth of a sentence, as in model_check
-                return SatResult(SatStatus.SAT, w, length)
+            text = "".join(combo)
+            if program.column(text, alphabet, 1) & 1:  # bit 0 with y at 1 is the truth of a sentence, as in model_check
+                return SatResult(SatStatus.SAT, Word(alphabet, text), length)
     status = SatStatus.UNSAT_DEFINITIVE if definitive else SatStatus.UNSAT_UP_TO_BOUND
     return SatResult(status, None, explored)
 
@@ -285,31 +275,32 @@ def parse_dimacs(text: str) -> Cnf:
 CNF_ALPHABET = Alphabet(("0", "1"))
 
 
-def _at_least_below(i: int, var: str) -> Optional[Formula]:
-    """At least i positions strictly below var; None is the vacuous i = 0."""
+def _at_least_below(i: int, var: str, memo: dict) -> Optional[Formula]:
+    """At least i positions strictly below var, built once per memo; None is the vacuous i = 0."""
     if i == 0:
         return None
-    u = other_var(var)
-    return Exists(u, conjoin([Less(u, var), _at_least_below(i - 1, u)]))
+    if (i, var) not in memo:
+        u = other_var(var)
+        memo[i, var] = Exists(u, conjoin([Less(u, var), _at_least_below(i - 1, u, memo)]))
+    return memo[i, var]
 
 
-def _var_is_one(i: int) -> Formula:
+def _var_is_one(i: int, memo: dict) -> Formula:
     """The i-th position carries letter 1: it has exactly i-1 positions below."""
     exactly = conjoin(
         [
             LetterAtom("1", "x"),
-            _at_least_below(i - 1, "x"),
-            Not(_at_least_below(i, "x")),
+            _at_least_below(i - 1, "x", memo),
+            Not(_at_least_below(i, "x", memo)),
         ]
     )
     assert exactly is not None
     return Exists("x", exactly)
 
 
-def _length_exactly(n: int) -> Formula:
-    at_least_n = conjoin([_at_least_below(n - 1, "x")]) or Equal("x", "x")
-    f = And(Exists("x", at_least_n), Not(Exists("x", _at_least_below(n, "x"))))
-    return f
+def _length_exactly(n: int, memo: dict) -> Formula:
+    at_least_n = conjoin([_at_least_below(n - 1, "x", memo)]) or Equal("x", "x")
+    return And(Exists("x", at_least_n), Not(Exists("x", _at_least_below(n, "x", memo))))
 
 
 def cnf_to_fo2(cnf: Cnf) -> tuple[Formula, int]:
@@ -317,15 +308,17 @@ def cnf_to_fo2(cnf: Cnf) -> tuple[Formula, int]:
 
     Models are exactly the length-n words whose i-th letter is 1 precisely
     when variable i is true in a satisfying assignment; the sentence pins
-    the model length to n by position counting.
+    the model length to n by position counting, with chains shared through
+    one memo, so the sentence has O(n + literals) distinct nodes.
     """
     if not cnf.clauses:
         raise ValueError("a CNF with no clauses is trivially satisfiable; nothing to translate")
     n = cnf.variable_count
+    memo: dict = {}
     clause_formulas: list[Formula] = []
     for clause in cnf.clauses:
         literals = [
-            _var_is_one(lit) if lit > 0 else Not(_var_is_one(-lit)) for lit in clause
+            _var_is_one(lit, memo) if lit > 0 else Not(_var_is_one(-lit, memo)) for lit in clause
         ]
         body = disjoin(literals)
         if body is None:  # empty clause: no assignment satisfies it
@@ -333,7 +326,7 @@ def cnf_to_fo2(cnf: Cnf) -> tuple[Formula, int]:
         clause_formulas.append(body)
     translated = conjoin(clause_formulas)
     assert translated is not None
-    return And(_length_exactly(n), translated), n
+    return And(_length_exactly(n, memo), translated), n
 
 
 def cnf_brute_force(cnf: Cnf) -> bool:

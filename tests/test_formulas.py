@@ -38,6 +38,7 @@ from fo2words import (
     nnf,
     parse_formula,
     parse_ranker,
+    realized_rankers,
     realized_suc_rankers,
     render_formula,
     satisfying_positions,
@@ -48,8 +49,10 @@ from fo2words import (
     unique_position_report,
 )
 from fo2words.formulas import _Program
+from fo2words.rankers import _walk
 
 AB = Alphabet(("a", "b"))
+ABC = Alphabet(("a", "b", "c"))
 
 
 def W(text, alphabet=AB):
@@ -335,11 +338,11 @@ def test_one_program_matches_reference_across_words():
             ys = positions if "y" in fv else [None] + positions
             for x, y in itertools.product(xs, ys):
                 cell = ((x or 1) - 1) * L + (y or 1) - 1
-                column = program.column(w, 1 << ((y or 1) - 1))
+                column = program.column(w.text, w.alphabet, 1 << ((y or 1) - 1))
                 assert column >> ((x or 1) - 1) & 1 == table >> cell & 1, (render_formula(f), w.text, x, y)
             if fv <= {"x"}:
                 expected = sum(1 << (i - 1) for i in positions if table >> ((i - 1) * L) & 1)
-                assert program.column(w, (1 << L) - 1) == expected, (render_formula(f), w.text)
+                assert program.column(w.text, w.alphabet, (1 << L) - 1) == expected, (render_formula(f), w.text)
 
     ab_words = words("ab", 17)
     rng = random.Random(88)
@@ -548,6 +551,25 @@ def test_synthesis_successor_rankers():
                 assert model_check(phi, w2) == (pos is not None)
                 expected = () if pos is None else (pos,)
                 assert satisfying_positions(psi, w2) == expected
+
+
+def test_walk_positions_are_realized_positions():
+    # unique_position_report reads realized positions off a walk of w against itself
+    for alphabet, max_len in ((AB, 7), (ABC, 4)):
+        for w in all_words(alphabet, max_len):
+            for depth in range(1, 5):
+                realized = set(realized_rankers(w, depth).positions.values())
+                assert set(_walk(w, w, depth, None, False)[1]) == realized, (w.text, depth)
+
+
+def test_unique_position_report_long_ranker():
+    # enumerating the depth-8 rankers of this word passes the enumeration cap
+    r = parse_ranker(">a>b>c>a>b>c>a>b")
+    rng = random.Random(1)
+    w = W("".join(rng.choice("abc") for _ in range(30)), ABC)
+    rep = unique_position_report(synth_position(r), [w])
+    assert rep.positions[w] == (eval_ranker(r, w),) == (20,)
+    assert rep.ranker_coincidence == {w: True}
 
 
 def test_unique_position_report_examples():

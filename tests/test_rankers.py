@@ -23,6 +23,7 @@ from fo2words import (
     realized_suc_rankers,
     render_ranker,
 )
+from fo2words.rankers import sort_key
 
 AB = Alphabet(("a", "b"))
 ABC = Alphabet(("a", "b", "c"))
@@ -144,6 +145,14 @@ def test_realized_suc_rankers_examples():
         )
     )
     assert rs[target] == 2
+
+
+def test_realized_sets_list_rankers_in_sort_key_order():
+    # RealizedSet documents this order and the equivalence walk's witnesses rely on it
+    for w in all_words(AB, 5):
+        for realize in (realized_rankers, realized_suc_rankers):
+            rankers = realize(w, 3).rankers()
+            assert rankers == sorted(rankers, key=sort_key), (realize.__name__, w.text)
 
 
 def test_enumeration_cap():

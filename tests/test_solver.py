@@ -6,6 +6,7 @@ import pytest
 from fo2words import (
     Alphabet,
     Cnf,
+    Formula,
     FreeVariableError,
     SatStatus,
     SearchBudgetError,
@@ -24,12 +25,13 @@ from fo2words import (
     ranker_equiv,
     render_formula,
     sat_search,
+    segments,
     shrink,
     small_model_bound,
     synth_definedness,
 )
 from fo2words import formulas
-from fo2words.solver import CNF_ALPHABET, _left_partition, _right_partition
+from fo2words.solver import CNF_ALPHABET, _cut_runs, _left_partition, _right_partition
 from helpers import random_sentence
 
 A1 = Alphabet(("a",))
@@ -98,11 +100,18 @@ def _left_partition_reference(text):
         pos += end
 
 
+def _cut_runs_reference(text, n):
+    """The original cut, one segment at a time, kept to check the regex one against."""
+    return "".join(seg.letter * min(len(seg), 2 * n) for seg in segments(text))
+
+
 def test_partitions_match_reference_scan():
     rng = random.Random(61)
     for _ in range(2000):
         letters = "abcd"[: rng.randint(1, 4)]
         text = "".join(rng.choice(letters) for _ in range(rng.randint(1, 40)))
+        for n in (1, 2, 3):
+            assert _cut_runs(text, n) == _cut_runs_reference(text, n)
         assert _left_partition(text) == _left_partition_reference(text)
         pieces, runs, tail = _left_partition_reference(text[::-1])
         mirrored = (
@@ -111,6 +120,13 @@ def test_partitions_match_reference_scan():
             tail[::-1],
         )
         assert _right_partition(text) == mirrored
+
+
+def test_shrink_one_letter_keeps_2n_letters():
+    # a one-letter word is one run, which the cut alone shortens
+    for n in range(1, 5):
+        for length in range(5 * n + 1):
+            assert shrink(Word(A1, "a" * length), n).text == "a" * min(length, 2 * n)
 
 
 def test_shrink_preserves_equivalence_sample():
@@ -167,8 +183,6 @@ def test_shrink_fuzz_long_words():
 def test_segment_replacement_in_context():
     # shrinking a single maximal run inside a word keeps the whole word
     # equivalent, checked by the game oracle
-    from fo2words import segments
-
     rng = random.Random(77)
     checked = 0
     while checked < 10:
@@ -282,6 +296,36 @@ def test_cnf_to_fo2_pins_length():
         assert result.status is not SatStatus.SAT
     with pytest.raises(ValueError):
         cnf_to_fo2(Cnf(1, ()))
+
+
+def test_cnf_to_fo2_renders_pinned():
+    # captured before the counting chains were shared
+    assert render_formula(cnf_to_fo2(Cnf(2, ((1, -2), (2,))))[0]) == (
+        "(((Ex.(Ey.y<x)) & !(Ex.(Ey.(y<x & (Ex.x<y))))) & (((Ex.(1(x) & !(Ey.y<x))) | "
+        "!(Ex.(1(x) & ((Ey.y<x) & !(Ey.(y<x & (Ex.x<y))))))) & (Ex.(1(x) & ((Ey.y<x) & "
+        "!(Ey.(y<x & (Ex.x<y))))))))"
+    )
+    assert render_formula(cnf_to_fo2(Cnf(3, ((-1, 3), (), (2,))))[0]) == (
+        "(((Ex.(Ey.(y<x & (Ex.x<y)))) & !(Ex.(Ey.(y<x & (Ex.(x<y & (Ey.y<x))))))) & "
+        "((!(Ex.(1(x) & !(Ey.y<x))) | (Ex.(1(x) & ((Ey.(y<x & (Ex.x<y))) & "
+        "!(Ey.(y<x & (Ex.(x<y & (Ey.y<x))))))))) & ((Ex.x<x) & (Ex.(1(x) & ((Ey.y<x) & "
+        "!(Ey.(y<x & (Ex.x<y)))))))))"
+    )
+
+
+def test_cnf_to_fo2_shares_counting_chains():
+    def distinct_nodes(n):
+        formula, _ = cnf_to_fo2(Cnf(n, (tuple(range(1, n + 1)),)))
+        seen, stack = set(), [formula]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack += [c for c in vars(node).values() if isinstance(c, Formula)]
+        return len(seen)
+
+    # one chain per variable would make the count quadratic in n
+    assert distinct_nodes(200) <= 2.1 * distinct_nodes(100)
 
 
 def test_cnf_brute_force_examples():
