@@ -23,12 +23,17 @@ class GameResourceError(ResourceCapError):
         self.needed = needed
         self.cap = cap
         super().__init__(
-            f"game state space needs {needed} memo entries, exceeding the cap of {cap}"
+            f"game state space needs {needed} bits in relation rows, exceeding the cap of {cap}"
         )
 
 
 class SearchBudgetError(ResourceCapError):
-    """Satisfiability search exceeded its candidate-word budget."""
+    """Satisfiability search exceeded its candidate-word budget.
+
+    A candidate is a nonempty word whose ≡_n class the search computes, one
+    letter longer than a class representative; with exact_len, a word of
+    that length.
+    """
 
     def __init__(self, cap: int):
         self.cap = cap

@@ -10,17 +10,24 @@ them (few blocks).
 
 Every step preserves depth-n equivalence, and the output length stays
 within bound(n, k) = 2n * (4n+2)^(k-1); exceeding that bound is a bug,
-not a tolerance issue, and is asserted. The shortlex model search compiles
-its sentence once and runs it on the text of every candidate word.
+not a tolerance issue, and is asserted.
+
+The model search compiles its sentence once. Depth-n truth is constant on
+≡_n classes and ≡_n is a congruence, so the search runs the sentence only on
+the shortlex-least word of each class, found breadth first. A search by
+exact length (the CNF reduction's) runs it on every word of that length: its
+sentences have depth close to the length, so almost every word is its own
+class.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 from .errors import FreeVariableError, SearchBudgetError, SignatureError
 from .formulas import (
@@ -167,6 +174,88 @@ class SatResult:
         }
 
 
+def _sides(types: list) -> list[frozenset]:
+    """For each position, the set of types strictly before it."""
+    out, seen = [], frozenset()
+    for t in types:
+        out.append(seen)
+        if t not in seen:
+            seen = seen | {t}
+    return out
+
+
+def _class_key(text: str, n: int, intern: Callable[[tuple], int]) -> frozenset:
+    """The ≡_n class of text: the set of its positions' depth-(n-1) 1-types.
+
+    A depth-0 type is a letter. A depth-k type, k >= 1, is intern applied to
+    (depth-(k-1) type, set of depth-(k-1) types strictly left, set strictly
+    right). With intern numbering types in one table shared by every word
+    compared, keys are equal exactly when classes are; with intern=hash,
+    equal classes give equal keys, and unequal ones may collide. The empty
+    word alone has the empty key.
+    """
+    types = list(text)
+    for _ in range(n - 1):
+        left, right = _sides(types), _sides(types[::-1])[::-1]
+        types = list(map(intern, zip(types, left, right)))
+    return frozenset(types)
+
+
+def _same_class(u: str, v: str, n: int) -> bool:
+    """u ≡_n v, by keys whose types are numbered in one table for the two words."""
+    intern = defaultdict(itertools.count().__next__).__getitem__
+    return _class_key(u, n, intern) == _class_key(v, n, intern)
+
+
+def _class_representatives(
+    letters: tuple[str, ...], n: int, top: int, definitive: bool, word_budget: int
+) -> Iterator[str]:
+    """The shortlex-least member of each ≡_n class with at most top letters, in shortlex order.
+
+    Each level extends the last level's representatives by each letter and
+    keeps a child whose class is new: the least member of a class, less its
+    last letter, is the least member of its own class, since ≡_n is a
+    congruence. Representatives are filed at the hash of their key with
+    intern=hash, probing onward past a filed word of another class; a child
+    is compared by exact key, in a table for the two words alone, with each
+    word on its probe path. So the search holds one word per class and no
+    types. Every child whose key is computed counts against word_budget. A
+    definitive search checks the small-model bound: the level after top adds
+    no class.
+    """
+    filed: dict[int, str] = {}  # no child shares the class of "", the empty key
+    frontier, spent = [""], 0
+    yield ""
+    for length in range(1, top + 1 + definitive):
+        children = []
+        for rep in frontier:
+            for letter in letters:
+                spent += 1
+                if spent > word_budget:
+                    raise SearchBudgetError(word_budget)
+                child = rep + letter
+                slot = hash(_class_key(child, n, hash))
+                while slot in filed:
+                    if _same_class(child, filed[slot], n):
+                        break
+                    slot += 1  # an equal hash from another class: probe the next slot
+                else:
+                    assert length <= top, f"a new ≡_{n} class past the small-model bound {top}"
+                    filed[slot] = child
+                    children.append(child)
+                    yield child
+        if not children:
+            return
+        frontier = children
+
+
+def _words_of_length(letters: tuple[str, ...], length: int, word_budget: int) -> Iterator[str]:
+    for spent, combo in enumerate(itertools.product(letters, repeat=length), 1):
+        if spent > word_budget:
+            raise SearchBudgetError(word_budget)
+        yield "".join(combo)
+
+
 def sat_search(
     formula: Formula,
     alphabet: Alphabet,
@@ -176,10 +265,17 @@ def sat_search(
 ) -> SatResult:
     """Shortlex search for a model over the alphabet.
 
-    The search is definitive when it exhausts every length up to the small
-    model bound for the sentence's quantifier depth: a satisfiable sentence
-    has a model within that bound, so finding none refutes it. With
-    max_len or exact_len the verdict is only "unsatisfiable up to here".
+    The search runs the sentence on the shortlex-least word of each ≡_n
+    class, n the quantifier depth (at least 1), and returns the first model,
+    the shortlex-least one; with exact_len, on every word of that length.
+    Every word but "" that it keys counts against word_budget; with
+    exact_len, every word it runs on.
+
+    The search is definitive when it covers every length up to the small
+    model bound for n: a satisfiable sentence has a model within that bound,
+    so finding none refutes it. With max_len below the bound, or exact_len,
+    the verdict is only "unsatisfiable up to here", even when the classes
+    run out first.
     """
     for name, value in (("max_len", max_len), ("exact_len", exact_len)):
         if value is not None and value < 0:
@@ -192,24 +288,17 @@ def sat_search(
     n = max(1, metrics.quantifier_depth)
     bound = small_model_bound(n, len(alphabet))
     if exact_len is not None:
-        lengths: Sequence[int] = [exact_len]
+        candidates = _words_of_length(alphabet.letters, exact_len, word_budget)
         definitive = False
         explored = exact_len
     else:
-        top = bound if max_len is None else min(max_len, bound)
-        lengths = range(top + 1)
-        definitive = top >= bound
-        explored = top
+        explored = bound if max_len is None else min(max_len, bound)
+        definitive = explored >= bound
+        candidates = _class_representatives(alphabet.letters, n, explored, definitive, word_budget)
     program = _Program(formula)
-    seen = 0
-    for length in lengths:
-        for combo in itertools.product(alphabet.letters, repeat=length):
-            seen += 1
-            if seen > word_budget:
-                raise SearchBudgetError(word_budget)
-            text = "".join(combo)
-            if program.column(text, alphabet, 1) & 1:  # bit 0 with y at 1 is the truth of a sentence, as in model_check
-                return SatResult(SatStatus.SAT, Word(alphabet, text), length)
+    for text in candidates:
+        if program.column(text, alphabet, 1) & 1:  # bit 0 with y at 1 is the truth of a sentence, as in model_check
+            return SatResult(SatStatus.SAT, Word(alphabet, text), len(text))
     status = SatStatus.UNSAT_DEFINITIVE if definitive else SatStatus.UNSAT_UP_TO_BOUND
     return SatResult(status, None, explored)
 

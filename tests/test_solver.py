@@ -1,13 +1,17 @@
 import itertools
 import random
+import tracemalloc
+from collections import defaultdict
 
 import pytest
 
 from fo2words import (
     Alphabet,
+    And,
     Cnf,
     Formula,
     FreeVariableError,
+    Not,
     SatStatus,
     SearchBudgetError,
     SignatureError,
@@ -31,7 +35,16 @@ from fo2words import (
     synth_definedness,
 )
 from fo2words import formulas
-from fo2words.solver import CNF_ALPHABET, _cut_runs, _left_partition, _right_partition
+from fo2words import solver as solver_module
+from fo2words.solver import (
+    CNF_ALPHABET,
+    _class_key,
+    _class_representatives,
+    _cut_runs,
+    _left_partition,
+    _right_partition,
+    _same_class,
+)
 from helpers import random_sentence
 
 A1 = Alphabet(("a",))
@@ -253,6 +266,111 @@ def test_sat_search_matches_model_check_scan():
         assert result == scan(f, 6), render_formula(f)
         statuses.add(result["status"])
     assert statuses == {"sat", "unsat-up-to-bound"}
+
+
+def _shortlex_scan(f, alphabet, max_len, cap):
+    """sat_search's verdict by model_check on every word in shortlex order; None past cap words."""
+    bound = small_model_bound(max(1, formula_metrics(f).quantifier_depth), len(alphabet))
+    top = bound if max_len is None else min(max_len, bound)
+    letters = alphabet.letters
+    words = ("".join(c) for length in range(top + 1) for c in itertools.product(letters, repeat=length))
+    for count, text in enumerate(words):
+        if count == cap:
+            return None
+        if model_check(f, Word(alphabet, text)):
+            return {"status": "sat", "witness": text, "exploredBound": len(text)}
+    status = "unsat-definitive" if top >= bound else "unsat-up-to-bound"
+    return {"status": status, "witness": None, "exploredBound": top}
+
+
+def test_class_keys_match_game_and_rankers():
+    words = [Word(AB, "".join(c)) for length in range(6) for c in itertools.product("ab", repeat=length)]
+    for n in (1, 2, 3):
+        # one table for the whole corpus: a table per word would merge classes
+        intern = defaultdict(itertools.count().__next__).__getitem__
+        keys = {w.text: _class_key(w.text, n, intern) for w in words}
+        for u, v in itertools.combinations(words, 2):
+            same = keys[u.text] == keys[v.text]
+            assert same is game_equiv(u, v, n).delilah_wins, (u.text, v.text, n)
+            assert same is ranker_equiv(u, v, n).verdict, (u.text, v.text, n)
+            assert same is _same_class(u.text, v.text, n)
+            if same:
+                assert _class_key(u.text, n, hash) == _class_key(v.text, n, hash)
+
+
+def test_sat_search_over_classes_matches_model_check_scan():
+    rng = random.Random(1111)
+    compared, statuses = 0, set()
+    for alphabet in (AB, ABC):
+        for depth in (1, 2, 3):
+            for max_len in (None, 4, 6):
+                for _ in range(12):
+                    f = random_sentence(rng, depth, alphabet)
+                    expected = _shortlex_scan(f, alphabet, max_len, 1500)
+                    if expected is not None:
+                        result = sat_search(f, alphabet, max_len=max_len).to_json_dict()
+                        assert result == expected, render_formula(f)
+                        compared += 1
+                        statuses.add(expected["status"])
+    assert compared >= 200 and statuses == {"sat", "unsat-up-to-bound"}
+    # depth 1 over {a,b} is definitive at 12 letters, so the scan reads all 8,191 words
+    for text in ("Ex.(a(x) & !a(x))", "(Ax.a(x)) & Ex.b(x)", "(Ex.a(x)) & (Ex.b(x)) & !(Ex.(a(x) | b(x)))"):
+        f = parse_formula(text, AB)
+        assert sat_search(f, AB).to_json_dict() == _shortlex_scan(f, AB, None, 8191), text
+    psi = random_sentence(random.Random(7), 1, AB)
+    f = And(psi, Not(psi))
+    assert sat_search(f, AB).to_json_dict() == _shortlex_scan(f, AB, None, 8191)
+
+
+def test_sat_search_definitive_over_classes():
+    cases = [
+        ("Ex.(a(x) & Ay.!(y<x)) & Ex.(b(x) & Ay.!(y<x))", {}, 84),  # depth 3
+        ("(Ex.(a(x) & Ey.(x<y & b(y)))) & !(Ex.(a(x) & Ey.(x<y & b(y))))", {"word_budget": 2000}, 40),
+        ("(Ax.(b(x) -> Ey.(y<x & a(y)))) & !(Ax.(b(x) -> Ey.(y<x & a(y))))", {"word_budget": 2000}, 40),
+    ]
+    for text, kwargs, bound in cases:
+        result = sat_search(parse_formula(text, AB), AB, **kwargs).to_json_dict()
+        assert result == {"status": "unsat-definitive", "witness": None, "exploredBound": bound}, text
+    # the depth-3 search needs 12,602 children, one per letter for each of its 6,301 classes
+    with pytest.raises(SearchBudgetError):
+        sat_search(parse_formula(cases[0][0], AB), AB, word_budget=12_601)
+    result = sat_search(parse_formula(cases[0][0], AB), AB, word_budget=12_602)
+    assert result.status is SatStatus.UNSAT_DEFINITIVE
+
+
+def test_sat_search_compares_keys_when_hashes_collide(monkeypatch):
+    classes = list(_class_representatives(("a", "b"), 2, 40, True, 2000))
+    assert len(classes) == 97 and classes[:8] == ["", "a", "b", "aa", "ab", "ba", "bb", "aaa"]
+    real_key = solver_module._class_key
+
+    def colliding_key(text, n, intern):  # one hash for all, so every child meets every class
+        return frozenset() if intern is hash else real_key(text, n, intern)
+
+    monkeypatch.setattr(solver_module, "_class_key", colliding_key)
+    assert list(_class_representatives(("a", "b"), 2, 40, True, 2000)) == classes
+    result = sat_search(parse_formula("Ex.(a(x) & Ey.(x<y & b(y))) & !(Ex.(b(x) & Ey.(x<y & a(y))))", AB), AB)
+    assert result.witness.text == "ab"
+
+
+def test_class_search_holds_one_word_per_class():
+    # at depth 4 over three letters nearly every word is its own class; a type table
+    # shared by the whole search peaks at 17-36 MB over these 3,000 candidates
+    f = parse_formula("Ex.(Ex.(Ex.(Ex.x<x)))", ABC)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchBudgetError):
+            sat_search(f, ABC, word_budget=3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+def test_class_search_checks_the_bound():
+    # a^1 ... a^5 are pairwise apart at depth 3, so a bound of 2 letters is too small
+    assert list(_class_representatives(("a",), 3, 2, False, 100)) == ["", "a", "aa"]
+    with pytest.raises(AssertionError, match="small-model bound"):
+        list(_class_representatives(("a",), 3, 2, True, 100))
 
 
 def test_sat_search_compiles_once(monkeypatch):
