@@ -10,6 +10,7 @@ equal subformulas sharing a column, and run per word; nothing outlives a run.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from operator import and_, or_, xor
@@ -180,11 +181,26 @@ def disjoin(parts: Iterable[Optional[Formula]]) -> Optional[Formula]:
 
 # --- parsing --------------------------------------------------------------
 
-class _Parser:
-    """Recursive descent for the ASCII grammar.
+# each connective's binding power, loosest first; -> associates to the right
+_BINARY = {"->": (0, Implies), "|": (1, Or), "&": (2, And)}
 
-    Precedence: ! binds tightest, then &, then |, then -> (right
-    associative). A quantifier's scope extends maximally to the right.
+# what may start an operand after ! and (: a quantifier prefix, suc(, a
+# variable (unless '(' follows, which makes it a letter) or a letter and '('
+_OPERAND = re.compile(r"([EA])([xy])\.|(suc)\(|([xy])(?!\()|(.)\(", re.S)
+
+
+class _Parser:
+    """Precedence climbing for the ASCII grammar.
+
+    `expression(p)` reads an operand, then each connective of `_BINARY` that
+    binds at least p, with its right operand read at one power higher (at
+    the same power for ->, so that it associates to the right). `_operand`
+    reads !, a parenthesized formula, or what `_OPERAND` finds at its start.
+
+    Precedence: ! binds tightest, then &, then |, then ->. & and | associate
+    to the left, -> to the right. A quantifier's scope extends maximally to
+    the right. The two methods recurse, two frames per parenthesis, so input
+    nested past the recursion limit raises RecursionError.
     """
 
     def __init__(self, text: str, alphabet: Alphabet, signature: Signature):
@@ -194,7 +210,7 @@ class _Parser:
         self.pos = 0
 
     def parse(self) -> Formula:
-        f = self._implies()
+        f = self.expression(0)
         self._skip_ws()
         if self.pos < len(self.text):
             raise FormulaSyntaxError(
@@ -206,54 +222,63 @@ class _Parser:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
-    def _peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.text[i] if i < len(self.text) else ""
+    def _peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def _implies(self) -> Formula:
-        left = self._infix()
-        self._skip_ws()
-        if self._peek() == "-" and self._peek(1) == ">":
-            self.pos += 2
-            return Implies(left, self._implies())
-        return left
-
-    # the left-associative connectives by binding strength, loosest first
-    _INFIX = {"|": (0, Or), "&": (1, And)}
-
-    def _infix(self, min_level: int = 0) -> Formula:
-        """A chain of the connectives that bind at least as tightly as min_level."""
-        f = self._unary()
+    def expression(self, min_power: int) -> Formula:
+        """Operands joined by the connectives that bind at least min_power."""
+        f = self._operand()
         while True:
             self._skip_ws()
-            level, connective = self._INFIX.get(self._peek(), (-1, None))
-            if level < min_level:
+            op = "->" if self.text.startswith("->", self.pos) else self._peek()
+            power, connective = _BINARY.get(op, (-1, None))
+            if power < min_power:
                 return f
-            self.pos += 1
-            f = connective(f, self._infix(level + 1))
+            self.pos += len(op)
+            f = connective(f, self.expression(power if connective is Implies else power + 1))
 
-    def _unary(self) -> Formula:
+    def _operand(self) -> Formula:
         self._skip_ws()
-        c = self._peek()
-        if c == "":
-            raise FormulaSyntaxError("unexpected end of input", self.pos)
+        start, c = self.pos, self._peek()
         if c == "!":
             self.pos += 1
-            return Not(self._unary())
-        if c in "EA" and self._peek(1) in VARS and self._peek(2) == ".":
-            kind, var = c, self._peek(1)
-            self.pos += 3
-            body = self._implies()  # maximal scope
-            return Exists(var, body) if kind == "E" else Forall(var, body)
+            return Not(self._operand())
         if c == "(":
             self.pos += 1
-            f = self._implies()
-            self._skip_ws()
-            if self._peek() != ")":
-                raise FormulaSyntaxError("expected ')'", self.pos)
-            self.pos += 1
+            f = self.expression(0)
+            self._expect(")")
             return f
-        return self._atom()
+        m = _OPERAND.match(self.text, start)
+        if m is None:
+            message = f"cannot parse atom starting at {c!r}" if c else "unexpected end of input"
+            raise FormulaSyntaxError(message, start)
+        kind, var, suc, left, letter = m.groups()
+        self.pos = m.end()
+        if kind:
+            body = self.expression(0)  # maximal scope
+            return Exists(var, body) if kind == "E" else Forall(var, body)
+        if suc:
+            if self.signature is not Signature.ORDER_SUC:
+                raise SignatureError(
+                    f"suc(...) requires the order+successor signature (at position {start})"
+                )
+            a = self._var()
+            self._expect(",")
+            b = self._var()
+            self._expect(")")
+            return Suc(a, b)
+        if left:
+            self._skip_ws()
+            relation = {"<": Less, "=": Equal}.get(self._peek())
+            if relation is None:
+                raise FormulaSyntaxError(f"expected '<' or '=' after variable {left!r}", self.pos)
+            self.pos += 1
+            return relation(left, self._var())
+        if letter not in self.alphabet:
+            raise UnknownLetterError(f"letter {letter!r} not in alphabet {self.alphabet}", start)
+        v = self._var()
+        self._expect(")")
+        return LetterAtom(letter, v)
 
     def _expect(self, ch: str):
         self._skip_ws()
@@ -268,45 +293,6 @@ class _Parser:
             raise FormulaSyntaxError(f"expected a variable (x or y), got {c!r}", self.pos)
         self.pos += 1
         return c
-
-    def _atom(self) -> Formula:
-        self._skip_ws()
-        start = self.pos
-        if self.text.startswith("suc", self.pos) and self._peek(3) == "(":
-            if self.signature is not Signature.ORDER_SUC:
-                raise SignatureError(
-                    f"suc(...) requires the order+successor signature (at position {start})"
-                )
-            self.pos += 3
-            self._expect("(")
-            a = self._var()
-            self._expect(",")
-            b = self._var()
-            self._expect(")")
-            return Suc(a, b)
-        c = self._peek()
-        if c in VARS and self._peek(1) != "(":
-            self.pos += 1
-            self._skip_ws()
-            op = self._peek()
-            if op == "<":
-                self.pos += 1
-                return Less(c, self._var())
-            if op == "=":
-                self.pos += 1
-                return Equal(c, self._var())
-            raise FormulaSyntaxError(f"expected '<' or '=' after variable {c!r}", self.pos)
-        # letter atom: letter '(' var ')'
-        if c == "":
-            raise FormulaSyntaxError("unexpected end of input", self.pos)
-        if self._peek(1) != "(":
-            raise FormulaSyntaxError(f"cannot parse atom starting at {c!r}", start)
-        if c not in self.alphabet:
-            raise UnknownLetterError(f"letter {c!r} not in alphabet {self.alphabet}", start)
-        self.pos += 2
-        v = self._var()
-        self._expect(")")
-        return LetterAtom(c, v)
 
 
 def parse_formula(text: str, alphabet: Alphabet, signature: Signature = Signature.ORDER) -> Formula:
@@ -393,24 +379,21 @@ class FormulaMetrics:
     free_vars: frozenset[str]
 
 
-def _qdepth(f: Formula) -> int:
-    if isinstance(f, Not):
-        return _qdepth(f.body)
-    if isinstance(f, _Binary):
-        return max(_qdepth(f.left), _qdepth(f.right))
-    if isinstance(f, _Quantifier):
-        return 1 + _qdepth(f.body)
-    return 0
+def _depths(f: Formula) -> tuple[int, int, int]:
+    """f's quantifier depth, and its alternation depth under an E and under an A.
 
-
-def _alt_depth(f: Formula, last: type[_Quantifier] | None) -> int:
-    if isinstance(f, Not):
-        return _alt_depth(f.body, last)
+    f is in negation normal form, so a Not wraps an atom and adds nothing.
+    """
     if isinstance(f, _Binary):
-        return max(_alt_depth(f.left, last), _alt_depth(f.right, last))
-    if isinstance(f, _Quantifier):
-        return (0 if last is type(f) else 1) + _alt_depth(f.body, type(f))
-    return 0
+        (d, e, a), (d2, e2, a2) = _depths(f.left), _depths(f.right)
+        return max(d, d2), max(e, e2), max(a, a2)
+    if isinstance(f, Exists):
+        d, e, _ = _depths(f.body)
+        return d + 1, e, e + 1
+    if isinstance(f, Forall):
+        d, _, a = _depths(f.body)
+        return d + 1, a + 1, a
+    return 0, 0, 0
 
 
 def formula_metrics(f: Formula) -> FormulaMetrics:
@@ -420,10 +403,10 @@ def formula_metrics(f: Formula) -> FormulaMetrics:
     only after negations are pushed to atoms do quantifier blocks line up
     with which structure the spoiler plays on in the game reading.
     """
-    nf = nnf(f)
+    depth, below_e, below_a = _depths(nnf(f))
     return FormulaMetrics(
-        quantifier_depth=_qdepth(nf),
-        alternation_depth=_alt_depth(nf, None),
+        quantifier_depth=depth,
+        alternation_depth=max(below_e, below_a),
         uses_successor=uses_successor(f),
         free_vars=free_vars(f),
     )

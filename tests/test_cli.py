@@ -1,10 +1,15 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fo2words.cli import main
 
@@ -249,3 +254,73 @@ def test_empty_word_argument(capsys):
     code, out, _ = run(capsys, "equiv", "", "a", "-n", "1", "--method", "game")
     assert code == 0
     assert json.loads(out)["verdict"] is False
+
+
+# --- fuzzed argv -------------------------------------------------------------
+
+FUZZ_WORDS = ("", "a", "ab", "ba", "aab", "-", "@missing.txt")
+FUZZ_RANKERS = (">a", "<b", ">a<b", ">b>a<a", "a", "-")
+FUZZ_FORMULAS = ("Ex. a(x)", "Ex.Ay.(x<y | b(y))", "Ex.Ey.suc(x,y)", "x<y", "Ex. (a(x)", "", "Ez.a(z)")
+FUZZ_DIMACS = ("p cnf 2 2\n1 -2 0\n2 0\n", "p cnf 1 1\n-1 0\n", "p cnf 2 1\n3 0\n", "c only\n", "x")
+# flags that take no value, and -n left without its value
+FUZZ_FLAGS = ("--suc", "--solve", "--position", "--definedness", "-n")
+# options and their values, drawn as pairs
+FUZZ_OPTIONS = {
+    "-n": "int", "-m": "int", "-x": "int", "-y": "int", "--cap": "int", "--max-len": "int",
+    "--exact-len": "int", "--alphabet": "word", "--format": "format", "--method": "method",
+}
+# each command's positionals and required options, so that many runs get past argparse
+FUZZ_SHAPES = {
+    "eval-ranker": ("ranker", "word"),
+    "rankers": ("word", "-n", "int"),
+    "equiv": ("word", "word", "-n", "int"),
+    "check": ("formula", "word"),
+    "metrics": ("formula",),
+    "synth": ("ranker",),
+    "witness": ("-m", "int", "-n", "int"),
+    "verify-hierarchy": ("-m", "int", "-n", "int"),
+    "sat": ("formula", "--alphabet", "word"),
+    "shrink": ("word", "-n", "int"),
+    "reduce-cnf": ("dimacs",),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("fuzz")
+    files = {}
+    for kind, sources in (("formula", FUZZ_FORMULAS), ("dimacs", FUZZ_DIMACS)):
+        files[kind] = ["-"]
+        for i, source in enumerate(sources):
+            path = folder / f"{kind}{i}.txt"
+            path.write_text(source)
+            files[kind].append(str(path))
+    return files
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(data=st.data())
+def test_fuzzed_argv_exits_with_a_documented_code(fuzz_files, data):
+    # main runs in this process, so an exception it lets escape fails the test
+    pools = {
+        "word": st.sampled_from(FUZZ_WORDS),
+        "ranker": st.sampled_from(FUZZ_RANKERS),
+        "int": st.integers(-2, 6).map(str),
+        "formula": st.sampled_from(fuzz_files["formula"]),
+        "dimacs": st.sampled_from(fuzz_files["dimacs"]),
+        "format": st.sampled_from(("json", "text", "xml")),
+        "method": st.sampled_from(("ranker", "game", "both")),
+    }
+    option = st.sampled_from(sorted(FUZZ_OPTIONS)).flatmap(
+        lambda name: pools[FUZZ_OPTIONS[name]].map(lambda value: [name, value])
+    )
+    extra = st.one_of(option, st.sampled_from(FUZZ_FLAGS).map(lambda flag: [flag]))
+    command = data.draw(st.sampled_from(sorted(FUZZ_SHAPES)))
+    shape = [data.draw(pools[part]) if part in pools else part for part in FUZZ_SHAPES[command]]
+    argv = [command, *shape, *(t for ts in data.draw(st.lists(extra, max_size=2)) for t in ts)]
+    stdin = data.draw(st.sampled_from(FUZZ_WORDS[:5] + FUZZ_FORMULAS + FUZZ_DIMACS))
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin)), redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in out.getvalue() + err.getvalue(), argv

@@ -127,6 +127,60 @@ def test_letter_vs_variable_disambiguation():
     assert f == Exists("x", Exists("y", Less("x", "y")))
 
 
+from parse_reference import reference_parse  # noqa: E402
+
+# grammar pieces, and letters that the grammar also uses, so that every
+# branch between a quantifier, suc, a variable and a letter is taken
+PARSER_PIECES = (
+    "Ex.", "Ay.", "Ez.", "E(x)", "x(y)", "suc(x,y)", "suc (", "x <  y", "->", "-", "&(x)", "((",
+    "\t", "\n", "\u00a0", " ", "!", "(", ")", "&", "|", "a(x)", "y=x", "E", "A", "x", "y", "s", ",",
+)
+PARSER_LETTERS = ("ab", "aE", "Ay", "xys", "&|", "()-!", "aExAy", "s&|()-!", "EAxys&|()-!")
+
+
+def _gap(rng):
+    return rng.choice(("", "", " ", "\t", "\n", "\u00a0"))
+
+
+def _formula_text(rng, depth):
+    """Text that mostly parses: operands and connectives with random whitespace."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(("a(x)", "b(y)", "x<y", "y = x", "suc(x,y)", "E(x)", "x(y)", "&(x)", "s(y)"))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.choice(("Ex.", "Ay.", "!")) + _gap(rng) + _formula_text(rng, depth - 1)
+    if kind == 1:
+        return "(" + _gap(rng) + _formula_text(rng, depth - 1) + _gap(rng) + ")"
+    op = rng.choice(("&", "|", "->"))
+    return _formula_text(rng, depth - 1) + _gap(rng) + op + _gap(rng) + _formula_text(rng, depth - 1)
+
+
+def _parse_outcome(parse, text, alphabet, signature):
+    try:
+        return parse(text, alphabet, signature)
+    except Exception as e:  # the type, message and position are what must match
+        return type(e), str(e), getattr(e, "position", None)
+
+
+def test_parser_matches_reference_on_fuzzed_text():
+    rng = random.Random(1212)
+    alphabets = [Alphabet(tuple(letters)) for letters in PARSER_LETTERS]
+    kinds = set()
+    for _ in range(50_000):
+        if rng.random() < 0.5:
+            text = "".join(rng.choice(PARSER_PIECES) for _ in range(rng.randint(0, 10)))
+        else:
+            text = _formula_text(rng, 4)
+            if rng.random() < 0.5:
+                i = rng.randint(0, len(text))
+                text = text[:i] + rng.choice(PARSER_PIECES) + text[i + rng.randint(0, 2) :]
+        alphabet, signature = rng.choice(alphabets), rng.choice(list(Signature))
+        got = _parse_outcome(parse_formula, text, alphabet, signature)
+        assert got == _parse_outcome(reference_parse, text, alphabet, signature), repr(text)
+        kinds.add(got[0] if isinstance(got, tuple) else "parsed")
+    assert kinds == {"parsed", FormulaSyntaxError, UnknownLetterError, SignatureError}
+
+
 # --- random formula corpus ---------------------------------------------------
 
 from helpers import random_formula  # noqa: E402
@@ -191,6 +245,55 @@ def test_alternation_counted_on_nnf():
     m = formula_metrics(f)
     assert m.quantifier_depth == 2
     assert m.alternation_depth == 2
+
+
+def _two_pass_qdepth(f):
+    if isinstance(f, Not):
+        return _two_pass_qdepth(f.body)
+    if isinstance(f, (And, Or, Implies)):
+        return max(_two_pass_qdepth(f.left), _two_pass_qdepth(f.right))
+    if isinstance(f, (Exists, Forall)):
+        return 1 + _two_pass_qdepth(f.body)
+    return 0
+
+
+def _two_pass_alt_depth(f, last):
+    if isinstance(f, Not):
+        return _two_pass_alt_depth(f.body, last)
+    if isinstance(f, (And, Or, Implies)):
+        return max(_two_pass_alt_depth(f.left, last), _two_pass_alt_depth(f.right, last))
+    if isinstance(f, (Exists, Forall)):
+        return (0 if last is type(f) else 1) + _two_pass_alt_depth(f.body, type(f))
+    return 0
+
+
+def test_metrics_match_two_pass_reference():
+    # the depth and the alternation depth were once two walks of the NNF
+    rng = random.Random(1213)
+    for i in range(3000):
+        signature = (Signature.ORDER, Signature.ORDER_SUC)[i % 2]
+        bound = ((), ("x",), ("y",), ("x", "y"))[i // 2 % 4]
+        f = random_formula(rng, rng.randint(0, 4), signature=signature, bound=bound)
+        m, nf = formula_metrics(f), nnf(f)
+        assert (m.quantifier_depth, m.alternation_depth) == (
+            _two_pass_qdepth(nf),
+            _two_pass_alt_depth(nf, None),
+        )
+
+
+@pytest.mark.parametrize(
+    "text, depth, alternation",
+    [
+        ("Ey.((Ex.a(x)) | y=y)", 1, 1),  # the true constant absorbs Ex.a(x)
+        ("Ex.(x<x & Ey.a(y))", 1, 1),  # the false constant absorbs Ey.a(y)
+        # raw syntax alternates E and A; the NNF is one block of A
+        ("!Ex.((Ay.a(y)) -> Ex.b(x))", 2, 1),  # Ax.(Ay.a(y) & Ax.!b(x))
+        ("!Ex.((Ay.a(y)) -> (Ay.b(y)) -> Ey.a(y))", 2, 1),  # Ax.(Ay.a(y) & Ay.b(y) & Ay.!a(y))
+    ],
+)
+def test_metrics_after_folding_and_negated_implications(text, depth, alternation):
+    m = formula_metrics(parse_formula(text, AB))
+    assert (m.quantifier_depth, m.alternation_depth) == (depth, alternation)
 
 
 def test_model_check_examples():
