@@ -18,8 +18,9 @@ is an interval too: the rows p < i together must answer every column
 q < j, and the rows p > i every column q > j. With successor the
 neighbours (i-1, j-1) and (i+1, j+1) are checked bit by bit, and the far
 ranges start two positions away. An alternation budget keeps one
-relation per (budget, side of the previous move) and intersects the
-same-side move with the other-side move at budget-1.
+relation per (budget, side of the previous move); a move on the other
+side spends one switch. With d moves left Samson changes sides at most d
+times, so every budget of d or more is one relation, the unbounded M_d.
 
 A relation is a list of |u| Python ints, one row per position i of u,
 with bit j-1 set when (i, j) is in the relation; moves on both words are
@@ -100,6 +101,11 @@ def _other(side: Side) -> Side:
     return Side.V if side is Side.U else Side.U
 
 
+def _key(d: int, budget: Optional[int], last: Optional[Side]) -> tuple:
+    """The relation for d moves left: a budget of d or more cannot bind."""
+    return (None, None) if budget is None or budget >= d else (budget, last)
+
+
 def _answered(rows: list[int], width: int, successor: bool, side: Side) -> list[int]:
     """The pairs (i, j) from which every move on `side`, other than onto i or
     j itself, has an answer in `rows` placed relative to (i, j) as the move is.
@@ -161,6 +167,8 @@ class _Solver:
     def level_relations(self, n: int, budget: Optional[int], sides: list[Side]) -> dict:
         """Relations for the last move level (n-1 moves left), built bottom-up."""
         needed = self._levels_needed(n, budget, sides)
+        for d, keys in enumerate(needed):
+            needed[d] = {_key(d, *key) for key in keys}
         max_live = max(
             (len(needed[d]) + (len(needed[d - 1]) if d else 1) for d in range(n)),
             default=1,
@@ -172,22 +180,18 @@ class _Solver:
         letters = [letter_masks.get(ch, 0) for ch in self.u.text]
         prev = {key: letters for key in needed[0]}
         for d in range(1, n):
-            prev = {key: self._build(prev, *key) for key in needed[d]}
+            prev = {key: self._build(prev, d, *key) for key in needed[d]}
         return prev
 
-    def _build(self, prev: dict, budget: Optional[int], last: Optional[Side]) -> list[int]:
-        if budget is None:
-            child = prev[(None, None)]
-            moves = [(Side.U, child), (Side.V, child)]
-        else:
-            other = _other(last)
-            moves = [(last, prev[(budget, last)])]
-            if budget >= 1:
-                moves.append((other, prev[(budget - 1, other)]))
-        rows = moves[0][1]
-        for side, child in moves:
-            answered = _answered(child, self.lv, self.with_successor, side)
-            rows = [r & c & a for r, c, a in zip(rows, child, answered)]
+    def _build(self, prev: dict, d: int, budget: Optional[int], last: Optional[Side]) -> list[int]:
+        rows = [-1] * self.lu
+        for side in Side:
+            # a move on the last side is free, one on the other spends a switch
+            left = budget if side is last or budget is None else budget - 1
+            if left != -1:
+                child = prev[_key(d - 1, left, side)]
+                answered = _answered(child, self.lv, self.with_successor, side)
+                rows = [r & c & a for r, c, a in zip(rows, child, answered)]
         return rows
 
     def solve(
@@ -196,19 +200,18 @@ class _Solver:
         budget: Optional[int],
         start: tuple[int, int, int, int],
         sides: list[Side],
-        samson_frozen: bool = False,
     ) -> GameVerdict:
         i1, i2, j1, j2 = start
         placed = GameConfig(self.u, self.v, i1 or None, i2 or None, j1 or None, j2 or None,
                             with_successor=self.with_successor)
+        frozen = n == 0 or budget == -1  # Samson never moves
         if not partial_iso(placed):
-            movable = n >= 1 and not samson_frozen
-            return GameVerdict(False, self._first_legal_move(sides) if movable else None)
-        if n == 0 or samson_frozen:
+            return GameVerdict(False, None if frozen else self._first_legal_move(sides))
+        if frozen:
             return GameVerdict(True)
         level = self.level_relations(n, budget, sides)
         for side in sides:
-            child = level[(budget, side) if budget is not None else (None, None)]
+            child = level[_key(n - 1, budget, side)]
             move = self._first_unanswered(child, side, start)
             if move is not None:
                 return GameVerdict(False, (side, *move))
@@ -284,7 +287,7 @@ def game_equiv_alt(
         raise ValueError("m and n must be >= 0")
     solver = _Solver(u, v, with_successor, cap)
     sides = [start_side] if start_side is not None else [Side.U, Side.V]
-    return solver.solve(n, m - 1, (0, 0, 0, 0), sides, samson_frozen=(m == 0))
+    return solver.solve(n, m - 1, (0, 0, 0, 0), sides)
 
 
 def game_equiv_general(
@@ -308,10 +311,12 @@ def game_equiv_general(
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    if m is not None and m < 0:
+        raise ValueError("m must be >= 0")
     for pos, word, name in ((i1, u, "i1"), (i2, u, "i2"), (j1, v, "j1"), (j2, v, "j2")):
         if not 1 <= pos <= len(word):
             raise ValueError(f"{name}={pos} out of range [1, {len(word)}]")
     solver = _Solver(u, v, with_successor, cap)
     sides = [start_side] if start_side is not None else [Side.U, Side.V]
     budget = None if m is None else m - 1
-    return solver.solve(n, budget, (i1, i2, j1, j2), sides, samson_frozen=(m == 0))
+    return solver.solve(n, budget, (i1, i2, j1, j2), sides)

@@ -90,6 +90,8 @@ def test_game_equiv_general_examples():
     assert verdict.delilah_wins is False
     with pytest.raises(ValueError):
         game_equiv_general(W("ab"), 0, 1, W("ab"), 1, 1, n=1)
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        game_equiv_general(W("ab"), 1, 1, W("ab"), 1, 1, 2, m=-1)
 
 
 def test_game_equiv_general_matching_placements():
@@ -260,6 +262,26 @@ def test_cap_is_checked_before_any_table_is_built():
     assert game_equiv_alt(long_u, long_v, 0, 3, cap=1000).delilah_wins is True
     verdict = game_equiv_general(long_u, 1, 2, long_v, 1, 2, 3, m=0, cap=1000)
     assert verdict.delilah_wins is False and verdict.first_winning_samson_move is None
+
+
+def _needed(game, *args, **kwargs):
+    with pytest.raises(GameResourceError) as caught:
+        game(*args, cap=1, **kwargs)
+    return caught.value.needed
+
+
+def test_budget_that_cannot_bind_costs_the_unbounded_game():
+    # with n moves Samson changes sides at most n-1 times, so a game with
+    # m >= n alternation blocks holds only the unbounded relations
+    u, v = W("abbab"), W("baab")
+    for successor in (False, True):
+        for n in range(1, 7):
+            unbounded = _needed(game_equiv, u, v, n, with_successor=successor)
+            for m in range(n, n + 4):
+                for start_side in (None, Side.U, Side.V):
+                    got = _needed(game_equiv_alt, u, v, m, n, with_successor=successor,
+                                  start_side=start_side)
+                    assert got == unbounded, (successor, n, m, start_side)
 
 
 @pytest.mark.parametrize("successor", [False, True], ids=["plain", "suc"])

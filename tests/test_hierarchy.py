@@ -172,6 +172,15 @@ def test_levels_up_to_eight_and_four_with_successor():
         assert report.separation_depth is not None
 
 
+def test_levels_nine_to_eleven_under_the_default_game_cap():
+    # with d moves left every alternation budget of d or more is the one
+    # unbounded relation, so these levels fit the default cell cap
+    for m in (9, 10, 11):
+        report = verify_hierarchy_level(m, m)
+        assert report.ok and report.indist_game and report.indist_ranker, m
+        assert report.separation_depth == m
+
+
 def test_level_four_by_rankers():
     # the ranker decider on its own, without the game
     from fo2words import ranker_equiv_alt
