@@ -194,37 +194,24 @@ class _Solver:
                 rows = [r & c & a for r, c, a in zip(rows, child, answered)]
         return rows
 
-    def solve(
-        self,
-        n: int,
-        budget: Optional[int],
-        start: tuple[int, int, int, int],
-        sides: list[Side],
-    ) -> GameVerdict:
+    def solve(self, n: int, budget: Optional[int], start: tuple[int, int, int, int],
+              start_side: Optional[Side]) -> GameVerdict:
+        if start_side is not None and not isinstance(start_side, Side):
+            raise ValueError(f"start_side must be a Side or None, not {start_side!r}")
+        sides = [Side.U, Side.V] if start_side is None else [start_side]
         i1, i2, j1, j2 = start
-        placed = GameConfig(self.u, self.v, i1 or None, i2 or None, j1 or None, j2 or None,
-                            with_successor=self.with_successor)
-        frozen = n == 0 or budget == -1  # Samson never moves
-        if not partial_iso(placed):
-            return GameVerdict(False, None if frozen else self._first_legal_move(sides))
-        if frozen:
-            return GameVerdict(True)
-        level = self.level_relations(n, budget, sides)
+        iso = partial_iso(GameConfig(self.u, self.v, i1 or None, i2 or None, j1 or None,
+                                     j2 or None, with_successor=self.with_successor))
+        if n == 0 or budget == -1:  # Samson never moves
+            return GameVerdict(iso)
+        level = self.level_relations(n, budget, sides) if iso else {}
         for side in sides:
-            child = level[_key(n - 1, budget, side)]
-            move = self._first_unanswered(child, side, start)
+            # a lost start stays lost after any move, so read it against the empty relation
+            rows = level[_key(n - 1, budget, side)] if iso else [0] * self.lu
+            move = self._first_unanswered(rows, side, start)
             if move is not None:
                 return GameVerdict(False, (side, *move))
-        return GameVerdict(True)
-
-    def _first_legal_move(self, sides: list[Side]) -> Optional[tuple[Side, str, int]]:
-        # The start configuration is already lost for Delilah; any legal
-        # move keeps it lost, so report the first one.
-        for side in sides:
-            length = self.lu if side is Side.U else self.lv
-            if length >= 1:
-                return (side, "x", 1)
-        return None
+        return GameVerdict(iso)
 
     def _first_unanswered(
         self, rows: list[int], side: Side, start: tuple[int, int, int, int]
@@ -265,7 +252,7 @@ def game_equiv(
     if n < 0:
         raise ValueError("n must be >= 0")
     solver = _Solver(u, v, with_successor, cap)
-    return solver.solve(n, None, (0, 0, 0, 0), [Side.U, Side.V])
+    return solver.solve(n, None, (0, 0, 0, 0), None)
 
 
 def game_equiv_alt(
@@ -286,8 +273,7 @@ def game_equiv_alt(
     if m < 0 or n < 0:
         raise ValueError("m and n must be >= 0")
     solver = _Solver(u, v, with_successor, cap)
-    sides = [start_side] if start_side is not None else [Side.U, Side.V]
-    return solver.solve(n, m - 1, (0, 0, 0, 0), sides)
+    return solver.solve(n, m - 1, (0, 0, 0, 0), start_side)
 
 
 def game_equiv_general(
@@ -317,6 +303,5 @@ def game_equiv_general(
         if not 1 <= pos <= len(word):
             raise ValueError(f"{name}={pos} out of range [1, {len(word)}]")
     solver = _Solver(u, v, with_successor, cap)
-    sides = [start_side] if start_side is not None else [Side.U, Side.V]
     budget = None if m is None else m - 1
-    return solver.solve(n, budget, (i1, i2, j1, j2), sides)
+    return solver.solve(n, budget, (i1, i2, j1, j2), start_side)

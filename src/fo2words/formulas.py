@@ -297,6 +297,8 @@ class _Parser:
 
 def parse_formula(text: str, alphabet: Alphabet, signature: Signature = Signature.ORDER) -> Formula:
     """Parse the ASCII grammar; see the module README for the full syntax."""
+    if not isinstance(signature, Signature):
+        raise ValueError(f"signature must be a Signature, not {signature!r}")
     return _Parser(text, alphabet, signature).parse()
 
 

@@ -22,6 +22,8 @@ from .words import Alphabet, OrderType, Word, order_type
 def _letters(m: int, signature: Signature) -> list[str]:
     """Rendering of the indexed letters: a, b, c, ... for the order signature;
     with successor, b is reserved for the padding letter, so a, c, d, ..."""
+    if not isinstance(signature, Signature):
+        raise ValueError(f"signature must be a Signature, not {signature!r}")
     base = "abcdefghijklmnopqrstuvwxyz"
     if signature is not Signature.ORDER:
         base = base.replace(_PAD, "")
@@ -184,6 +186,8 @@ def verify_hierarchy_level(
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
+    if not isinstance(signature, Signature):
+        raise ValueError(f"signature must be a Signature, not {signature!r}")
     successor = signature is Signature.ORDER_SUC
     pair = witness_words_suc(m, n) if successor else witness_words(m, n)
     u, v = pair.u, pair.v

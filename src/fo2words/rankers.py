@@ -41,6 +41,10 @@ class BoundaryPos:
     before: str = ""
     after: str = ""
 
+    def __post_init__(self):
+        if not isinstance(self.direction, Direction):
+            raise ValueError(f"direction must be a Direction, not {self.direction!r}")
+
     def __str__(self) -> str:
         if self.before or self.after:
             return _bracketed(self)
@@ -193,10 +197,12 @@ class RealizedSet:
     ) -> list[tuple[Ranker, int]]:
         """Filtered (ranker, position) pairs in deterministic order.
 
-        `length`/`blocks` filter exactly; `max_length`/`max_blocks` filter by
-        upper bound. Both axes exist because the equivalence conditions
-        quantify over exact and cumulative families.
+        `length`/`blocks` keep rankers with exactly that many steps or
+        alternation blocks, `max_length`/`max_blocks` those with at most that
+        many, and `last_direction` those whose last step goes that way.
         """
+        if last_direction is not None and not isinstance(last_direction, Direction):
+            raise ValueError(f"last_direction must be a Direction or None, not {last_direction!r}")
         out = []
         by_blocks = blocks is not None or max_blocks is not None
         for r, p in self.positions.items():

@@ -92,6 +92,22 @@ def test_game_equiv_general_examples():
         game_equiv_general(W("ab"), 0, 1, W("ab"), 1, 1, n=1)
     with pytest.raises(ValueError, match="m must be >= 0"):
         game_equiv_general(W("ab"), 1, 1, W("ab"), 1, 1, 2, m=-1)
+    # a lost start reports pebble x on position 1 of the first allowed side
+    lost = (W("ab"), 1, 2, W("ba"), 2, 1)
+    assert game_equiv_general(*lost, n=1).first_winning_samson_move == (Side.U, "x", 1)
+    verdict = game_equiv_general(*lost, n=1, start_side=Side.V)
+    assert verdict.first_winning_samson_move == (Side.V, "x", 1)
+    for verdict in (game_equiv_general(*lost, n=1, m=0), game_equiv_general(*lost, n=0)):
+        assert (verdict.delilah_wins, verdict.first_winning_samson_move) == (False, None)
+
+
+@pytest.mark.parametrize("start_side", ["u", "V", 0])
+def test_start_side_must_be_a_side(start_side):
+    # unchecked, "u" would count as neither side, so both moves would spend a switch
+    with pytest.raises(ValueError, match="start_side must be"):
+        game_equiv_alt(W("ab"), W("ba"), 1, 2, start_side=start_side)
+    with pytest.raises(ValueError, match="start_side must be"):
+        game_equiv_general(W("ab"), 1, 2, W("ba"), 1, 2, n=1, start_side=start_side)
 
 
 def test_game_equiv_general_matching_placements():

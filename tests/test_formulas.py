@@ -95,6 +95,12 @@ def test_parse_examples():
     parse_formula("Ex.Ey.(x<y & suc(x,y))", AB, Signature.ORDER_SUC)
 
 
+def test_parse_signature_must_be_a_signature_member():
+    # unchecked, "order+successor" would be parsed as the order signature
+    with pytest.raises(ValueError, match="must be a Signature"):
+        parse_formula("Ex.Ey.suc(x,y)", AB, "order+successor")
+
+
 def test_parse_precedence():
     f = parse_formula("a(x) & b(x) | a(y) -> b(y)", AB)
     assert f == Implies(

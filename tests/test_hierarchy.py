@@ -190,6 +190,16 @@ def test_level_four_by_rankers():
     assert ranker_equiv_alt(pair.u, pair.v, 4, 4).verdict is False
 
 
+def test_signature_must_be_a_signature_member():
+    # unchecked, "order" would get the successor signature's letters
+    with pytest.raises(ValueError, match="must be a Signature"):
+        verify_hierarchy_level(3, 2, "order")
+    with pytest.raises(ValueError, match="must be a Signature"):
+        separating_rankers(3, "order")
+    pair = separating_rankers(3, Signature.ORDER)
+    assert (str(pair.r), str(pair.s)) == ("<c>a", "<c>b")
+
+
 def test_witness_rejects_bad_parameters():
     with pytest.raises(ValueError):
         witness_words(0, 1)

@@ -274,6 +274,17 @@ def test_parse_render_round_trip_suc(data):
     assert parse_ranker(render_ranker(r)) == r
 
 
+def test_directions_must_be_direction_members():
+    # unchecked, ">" would evaluate as a left step, and select would keep nothing
+    with pytest.raises(ValueError, match="direction must be"):
+        BoundaryPos(">", "a")
+    assert eval_ranker(Ranker((BoundaryPos(Direction.RIGHT, "a"),)), W("abab")) == 1
+    realized = realized_rankers(W("abab"), 2)
+    with pytest.raises(ValueError, match="last_direction must be"):
+        realized.select(last_direction=">")
+    assert len(realized.select(last_direction=Direction.RIGHT)) == 7
+
+
 def test_parse_ranker_rejects_bad_input():
     for bad in ["", "a", ">", ">[a|b]", ">[ab|cd|]", "x>a"]:
         with pytest.raises(ValueError):
