@@ -21,6 +21,8 @@ ranges start two positions away. An alternation budget keeps one
 relation per (budget, side of the previous move); a move on the other
 side spends one switch. With d moves left Samson changes sides at most d
 times, so every budget of d or more is one relation, the unbounded M_d.
+The relations do not depend on the total depth, so one bottom-up pass
+reads the verdict of every depth up to its own.
 
 A relation is a list of |u| Python ints, one row per position i of u,
 with bit j-1 set when (i, j) is in the relation; moves on both words are
@@ -32,10 +34,12 @@ than an approximation.
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import and_, or_
 from typing import Optional
 
@@ -118,25 +122,27 @@ def _answered(rows: list[int], width: int, successor: bool, side: Side) -> list[
         # each move p <= i-gap needs j >= first(row p) + gap, and each move
         # p >= i+gap needs j <= last(row p) - gap; an empty row allows no j
         below = accumulate((full & -((r & -r) << gap) for r in rows), and_, initial=full)
-        above = accumulate(((1 << max(r.bit_length() - gap, 0)) - 1 for r in reversed(rows)),
+        above = accumulate((((1 << r.bit_length()) - 1) >> gap for r in reversed(rows)),
                            and_, initial=full)
     else:
         # the moves q <= j-gap need answers in the rows p <= i-gap, so their
         # union holds the columns 0..j-gap; likewise above i+gap and j+gap
         below = (full & (((~c & c + 1) << gap) - 1) for c in accumulate(rows, or_, initial=0))
-        above = (full & -(1 << max((full & ~d).bit_length() - gap, 0))
+        above = (full & ~(((1 << (full & ~d).bit_length()) - 1) >> gap)
                  for d in accumulate(reversed(rows), or_, initial=0))
-    below, above, top = list(below), list(above), (full + 1) >> 1
-    out = []
-    for i in range(n):
-        mask = below[max(i + 1 - gap, 0)] & above[max(n - i - gap, 0)]
-        if successor and side is Side.U:  # the moves i-1 and i+1
-            mask &= (rows[i - 1] << 1 if i else full) & (rows[i + 1] >> 1 if i + 1 < n else full)
-        elif successor:  # the moves j-1 and j+1, where they exist
-            mask &= rows[i - 1] << 1 | 1 if i else 1
-            mask &= rows[i + 1] >> 1 | top if i + 1 < n else top
-        out.append(mask)
-    return out
+    below, above = list(below), list(above)
+    if successor:  # row i reads below[i-1] and above[n-i-2], both clamped at 0
+        below.insert(0, below[0])
+        above.insert(0, above[0])
+    out = map(and_, below, reversed(above[:n]))
+    if successor and side is Side.U:  # the moves i-1 and i+1
+        out = map(and_, out, map(and_, [full] + [r << 1 for r in rows],
+                                 [r >> 1 for r in rows[1:]] + [full]))
+    elif successor:  # the moves j-1 and j+1, where they exist
+        top = (full + 1) >> 1
+        out = map(and_, out, map(and_, [1] + [r << 1 | 1 for r in rows],
+                                 [r >> 1 | top for r in rows[1:]] + [top]))
+    return list(out)
 
 
 class _Solver:
@@ -164,24 +170,33 @@ class _Solver:
             for d in range(n)
         ]
 
-    def level_relations(self, n: int, budget: Optional[int], sides: list[Side]) -> dict:
-        """Relations for the last move level (n-1 moves left), built bottom-up."""
-        needed = self._levels_needed(n, budget, sides)
-        for d, keys in enumerate(needed):
-            needed[d] = {_key(d, *key) for key in keys}
-        max_live = max(
-            (len(needed[d]) + (len(needed[d - 1]) if d else 1) for d in range(n)),
-            default=1,
-        )
+    def levels(self, n: int, budget: Optional[int], sides: list[Side]) -> Iterator[dict]:
+        """The relations of move levels 0..n-1 (d moves left), bottom-up, keyed as
+        the depth-n game needs them; the cap is checked before the first is built.
+
+        The unbounded chain M_0 ⊇ M_1 ⊇ … stops at its fixpoint: M_{d+1} is a
+        function of M_d alone, so once M_d = M_{d-1} every deeper level is M_d.
+        """
+        unbounded = budget is None or budget >= n - 1  # no level has a budget that binds
+        if unbounded:  # one relation per level, whatever n
+            needed, max_live = repeat({(None, None)}, n), 2
+        else:
+            needed = self._levels_needed(n, budget, sides)
+            for d, keys in enumerate(needed):
+                needed[d] = {_key(d, *key) for key in keys}
+            max_live = max(len(needed[d]) + (len(needed[d - 1]) if d else 1) for d in range(n))
         self._check_cap(max_live + 1)  # + letter equality
         letter_masks: dict[str, int] = {}
         for j, ch in enumerate(self.v.text):
             letter_masks[ch] = letter_masks.get(ch, 0) | 1 << j
         letters = [letter_masks.get(ch, 0) for ch in self.u.text]
-        prev = {key: letters for key in needed[0]}
-        for d in range(1, n):
-            prev = {key: self._build(prev, d, *key) for key in needed[d]}
-        return prev
+        prev = None
+        for d, keys in enumerate(needed):
+            level = {key: self._build(prev, d, *key) if d else letters for key in keys}
+            yield level
+            if unbounded and level == prev:
+                return
+            prev = level
 
     def _build(self, prev: dict, d: int, budget: Optional[int], last: Optional[Side]) -> list[int]:
         rows = [-1] * self.lu
@@ -191,8 +206,8 @@ class _Solver:
             if left != -1:
                 child = prev[_key(d - 1, left, side)]
                 answered = _answered(child, self.lv, self.with_successor, side)
-                rows = [r & c & a for r, c, a in zip(rows, child, answered)]
-        return rows
+                rows = map(and_, rows, map(and_, child, answered))
+        return list(rows)
 
     def solve(self, n: int, budget: Optional[int], start: tuple[int, int, int, int],
               start_side: Optional[Side]) -> GameVerdict:
@@ -204,7 +219,7 @@ class _Solver:
                                      j2 or None, with_successor=self.with_successor))
         if n == 0 or budget == -1:  # Samson never moves
             return GameVerdict(iso)
-        level = self.level_relations(n, budget, sides) if iso else {}
+        level = deque(self.levels(n, budget, sides), maxlen=1).pop() if iso else {}
         for side in sides:
             # a lost start stays lost after any move, so read it against the empty relation
             rows = level[_key(n - 1, budget, side)] if iso else [0] * self.lu
@@ -224,12 +239,15 @@ class _Solver:
             # the other pebble pair stays on (i, j), which must itself stay in
             # the relation; 0 means it is not placed. Answers keep the move's
             # type to the other pebble, so group the columns by type to j.
-            cols: dict = {}
-            if not i or rows[i - 1] >> (j - 1) & 1:
-                for q in range(1, self.lv + 1):
-                    key = cmp(q, j) if j else None
-                    cols[key] = cols.get(key, 0) | 1 << (q - 1)
-            answers = (row & cols.get(cmp(p, i) if i else None, 0) for p, row in enumerate(rows, 1))
+            if not i:  # every column answers every row
+                answers = rows
+            else:
+                cols: dict = {}
+                if rows[i - 1] >> (j - 1) & 1:
+                    for q in range(1, self.lv + 1):
+                        key = cmp(q, j)
+                        cols[key] = cols.get(key, 0) | 1 << (q - 1)
+                answers = (row & cols.get(cmp(p, i), 0) for p, row in enumerate(rows, 1))
             if side is Side.U:
                 move = next((p for p, a in enumerate(answers, 1) if not a), 0)
             else:
@@ -274,6 +292,30 @@ def game_equiv_alt(
         raise ValueError("m and n must be >= 0")
     solver = _Solver(u, v, with_successor, cap)
     return solver.solve(n, m - 1, (0, 0, 0, 0), start_side)
+
+
+def _separation_depth(u: Word, v: Word, m: int, bound: int, with_successor: bool,
+                      cap: int) -> Optional[int]:
+    """The least depth <= bound at which Samson wins game_equiv_alt(u, v, m, depth),
+    or None; m >= 1. Level d of a pass holds the depth-(d+1) game's top relations.
+
+    The first pass, to depth m, is the unbounded chain; only if it finds nothing
+    does a pass with the keys of depth `bound` follow. A pass over the cap goes
+    on depth by depth, each depth under its own cap.
+    """
+    solver = _Solver(u, v, with_successor, cap)
+    sides, start, done = list(Side), (0, 0, 0, 0), 0  # Delilah wins every depth <= done
+    for top in sorted({min(m, bound), bound}):
+        try:
+            for d, level in enumerate(solver.levels(top, m - 1, sides)):
+                if d >= done and any(solver._first_unanswered(level[_key(d, m - 1, side)], side,
+                                                              start) for side in sides):
+                    return d + 1
+        except GameResourceError:
+            return next((depth for depth in range(done + 1, bound + 1)
+                         if not solver.solve(depth, m - 1, start, None).delilah_wins), None)
+        done = top
+    return None
 
 
 def game_equiv_general(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .efgames import DEFAULT_GAME_CAP, game_equiv_alt
+from .efgames import DEFAULT_GAME_CAP, _separation_depth, game_equiv_alt
 from .equivalence import ranker_equiv_alt, suc_ranker_equiv_alt
 from .formulas import Signature, model_check, parse_formula
 from .rankers import BoundaryPos, Direction, Ranker, eval_ranker
@@ -180,9 +180,10 @@ def verify_hierarchy_level(
 ) -> HierarchyReport:
     """Check indistinguishability at m-1 alternations and separation at m.
 
-    The game separation search tries depths up to n+m: the ranker flip
-    guarantees a spoiler win at some depth, but the witness words at
-    parameter n may need a few extra moves beyond the ranker length.
+    The separation depth is the least depth up to n+m at which Samson wins
+    the m-alternation game, read from one bottom-up pass over the depths:
+    the ranker flip guarantees a spoiler win at some depth, but the witness
+    words at parameter n may need a few extra moves beyond the ranker length.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
@@ -216,10 +217,7 @@ def verify_hierarchy_level(
             ranker_separation = ord_u != ord_v
         else:
             ranker_separation = False
-        for depth in range(1, bound + 1):
-            if not game_equiv_alt(u, v, m, depth, with_successor=successor, cap=cap).delilah_wins:
-                separation_depth = depth
-                break
+        separation_depth = _separation_depth(u, v, m, bound, successor, cap)
     else:
         # Level 1: a sentence tells the words apart. Without successor the
         # witness v is empty, so pure existence separates; with successor

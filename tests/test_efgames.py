@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import accumulate
 
 import pytest
@@ -17,7 +18,7 @@ from fo2words import (
     partial_iso,
     ranker_equiv,
 )
-from fo2words.efgames import DEFAULT_GAME_CAP, _answered, _Solver
+from fo2words.efgames import DEFAULT_GAME_CAP, _answered, _separation_depth, _Solver
 import game_reference as reference
 from helpers import random_sentence
 
@@ -409,3 +410,73 @@ def test_relation_keys_match_propagation():
                 want = reference._Solver(word, word, False, DEFAULT_GAME_CAP)._levels_needed(
                     n, budget, sides)
                 assert got == want, (n, budget, sides)
+
+
+@pytest.mark.parametrize("successor", [False, True], ids=["plain", "suc"])
+@pytest.mark.parametrize("game", [game_equiv, lambda u, v, n, **kw: game_equiv_alt(u, v, n, n, **kw)],
+                         ids=["unbounded", "budget-cannot-bind"])
+def test_unbounded_game_stops_at_its_fixpoint(game, successor, monkeypatch):
+    # M_0 ⊇ M_1 ⊇ … shrinks at most |u|·|v| times before it repeats, so a
+    # deep game builds at most |u|·|v|+1 levels, and no per-level key list
+    u, v = W("abab"), W("abba")
+    want = game(u, v, 50, with_successor=successor).to_json_dict()
+    built = []
+    build = _Solver._build
+
+    def counted(self, *args):
+        built.append(args[1])
+        if len(built) > len(u) * len(v) + 1:
+            raise AssertionError("the unbounded chain did not stop at its fixpoint")
+        return build(self, *args)
+
+    def no_key_list(self, *args):
+        raise AssertionError("an unbounded game lists no keys per level")
+
+    monkeypatch.setattr(_Solver, "_build", counted)
+    monkeypatch.setattr(_Solver, "_levels_needed", no_key_list)
+    assert game(u, v, 10**9, with_successor=successor).to_json_dict() == want
+
+
+def _first_lost_depth(u, v, m, bound, successor, cap):
+    """The per-depth search: a fresh game_equiv_alt at every depth."""
+    for depth in range(1, bound + 1):
+        if not game_equiv_alt(u, v, m, depth, successor, cap=cap).delilah_wins:
+            return depth
+    return None
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except GameResourceError as caught:
+        return ("cap", caught.needed)
+
+
+def test_separation_depth_matches_the_per_depth_search():
+    # one bottom-up pass against a fresh game per depth; under the smaller
+    # caps the pass for depth `bound` is refused, and the search past m must
+    # go on depth by depth, stopping or raising where the per-depth one does
+    rng = random.Random(16)
+    seen = Counter()
+    for _ in range(2_000):
+        alphabet = rng.choice([AB, ABC])
+        u, v = ("".join(rng.choice(alphabet.letters) for _ in range(rng.randint(0, 9)))
+                for _ in range(2))
+        if u and rng.random() < 0.4:  # v repeats a letter of u: deeper, or no, separations
+            cut = rng.randrange(len(u))
+            v = u[:cut] + u[cut] * rng.randint(1, 2) + u[cut:]
+        u, v = W(u, alphabet), W(v, alphabet)
+        m, successor = rng.randint(1, 4), rng.random() < 0.5
+        bound = rng.randint(1, m + 4)
+        cap = rng.choice([DEFAULT_GAME_CAP, (len(u) + 1) * (len(v) + 1) * rng.randint(3, 12)])
+        args = (u, v, m, bound, successor, cap)
+        want = _outcome(_first_lost_depth, *args)
+        assert _outcome(_separation_depth, *args) == want, args
+        refused = bound > m and _needed(game_equiv_alt, u, v, m, bound, with_successor=successor) > cap
+        kind = "none" if want is None else "cap" if isinstance(want, tuple) else (
+            "first pass" if want <= m else "second pass")
+        seen[kind, refused] += 1
+    # a refused pass with no separation is no case: the per-depth search
+    # also solves depth `bound`, under the same cap
+    assert set(seen) == {("first pass", False), ("first pass", True), ("second pass", False),
+                         ("second pass", True), ("none", False), ("cap", True)}, seen

@@ -181,6 +181,17 @@ def test_levels_nine_to_eleven_under_the_default_game_cap():
         assert report.separation_depth == m
 
 
+def test_separation_depth_matches_the_per_depth_search():
+    # one bottom-up pass reads every depth that a fresh game per depth decides
+    for m in range(2, 7):
+        for n in range(1, 7):
+            report = verify_hierarchy_level(m, n)
+            u, v = report.pair.u, report.pair.v
+            want = next((depth for depth in range(1, n + m + 1)
+                         if not game_equiv_alt(u, v, m, depth).delilah_wins), None)
+            assert report.separation_depth == want, (m, n)
+
+
 def test_level_four_by_rankers():
     # the ranker decider on its own, without the game
     from fo2words import ranker_equiv_alt
