@@ -219,14 +219,35 @@ class _Solver:
                                      j2 or None, with_successor=self.with_successor))
         if n == 0 or budget == -1:  # Samson never moves
             return GameVerdict(iso)
-        level = deque(self.levels(n, budget, sides), maxlen=1).pop() if iso else {}
+        if iso:
+            level = deque(self.levels(n, budget, sides), maxlen=1).pop()
+        else:  # a lost start stays lost after any move, so read it against the empty relation
+            level = dict.fromkeys((_key(n - 1, budget, side) for side in sides), [0] * self.lu)
+        move = self._first_move(level, n - 1, budget, sides, start)
+        return GameVerdict(move is None, move)
+
+    def separation_depth(self, m: int, bound: int) -> Optional[int]:
+        """The least depth <= bound at which Samson wins the m-alternation game
+        from empty pebbles, or None; m >= 1. Up to depth m no budget binds, so
+        level d of one unbounded pass holds the top relation of depth d+1;
+        each deeper game is solved on its own."""
+        budget, sides, start, top = m - 1, list(Side), (0, 0, 0, 0), min(m, bound)
+        for d, level in enumerate(self.levels(top, budget, sides)):
+            if self._first_move(level, d, budget, sides, start):
+                return d + 1
+        return next((depth for depth in range(top + 1, bound + 1)
+                     if not self.solve(depth, budget, start, None).delilah_wins), None)
+
+    def _first_move(self, level: dict, d: int, budget: Optional[int], sides: list[Side],
+                    start: tuple[int, int, int, int]) -> Optional[tuple[Side, str, int]]:
+        """Samson's first move from `start` that Delilah cannot answer within the
+        relations of `level`, d moves left after it: sides in the order given,
+        then as _first_unanswered orders the moves on one side."""
         for side in sides:
-            # a lost start stays lost after any move, so read it against the empty relation
-            rows = level[_key(n - 1, budget, side)] if iso else [0] * self.lu
-            move = self._first_unanswered(rows, side, start)
+            move = self._first_unanswered(level[_key(d, budget, side)], side, start)
             if move is not None:
-                return GameVerdict(False, (side, *move))
-        return GameVerdict(iso)
+                return (side, *move)
+        return None
 
     def _first_unanswered(
         self, rows: list[int], side: Side, start: tuple[int, int, int, int]
@@ -292,30 +313,6 @@ def game_equiv_alt(
         raise ValueError("m and n must be >= 0")
     solver = _Solver(u, v, with_successor, cap)
     return solver.solve(n, m - 1, (0, 0, 0, 0), start_side)
-
-
-def _separation_depth(u: Word, v: Word, m: int, bound: int, with_successor: bool,
-                      cap: int) -> Optional[int]:
-    """The least depth <= bound at which Samson wins game_equiv_alt(u, v, m, depth),
-    or None; m >= 1. Level d of a pass holds the depth-(d+1) game's top relations.
-
-    The first pass, to depth m, is the unbounded chain; only if it finds nothing
-    does a pass with the keys of depth `bound` follow. A pass over the cap goes
-    on depth by depth, each depth under its own cap.
-    """
-    solver = _Solver(u, v, with_successor, cap)
-    sides, start, done = list(Side), (0, 0, 0, 0), 0  # Delilah wins every depth <= done
-    for top in sorted({min(m, bound), bound}):
-        try:
-            for d, level in enumerate(solver.levels(top, m - 1, sides)):
-                if d >= done and any(solver._first_unanswered(level[_key(d, m - 1, side)], side,
-                                                              start) for side in sides):
-                    return d + 1
-        except GameResourceError:
-            return next((depth for depth in range(done + 1, bound + 1)
-                         if not solver.solve(depth, m - 1, start, None).delilah_wins), None)
-        done = top
-    return None
 
 
 def game_equiv_general(

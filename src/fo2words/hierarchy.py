@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .efgames import DEFAULT_GAME_CAP, _separation_depth, game_equiv_alt
+from .efgames import DEFAULT_GAME_CAP, _Solver, game_equiv_alt
 from .equivalence import ranker_equiv_alt, suc_ranker_equiv_alt
 from .formulas import Signature, model_check, parse_formula
 from .rankers import BoundaryPos, Direction, Ranker, eval_ranker
@@ -181,9 +181,10 @@ def verify_hierarchy_level(
     """Check indistinguishability at m-1 alternations and separation at m.
 
     The separation depth is the least depth up to n+m at which Samson wins
-    the m-alternation game, read from one bottom-up pass over the depths:
-    the ranker flip guarantees a spoiler win at some depth, but the witness
-    words at parameter n may need a few extra moves beyond the ranker length.
+    the m-alternation game; the depths up to m are read from one bottom-up
+    pass. The ranker flip guarantees a spoiler win at some depth, but the
+    witness words at parameter n may need a few extra moves beyond the
+    ranker length.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
@@ -217,7 +218,7 @@ def verify_hierarchy_level(
             ranker_separation = ord_u != ord_v
         else:
             ranker_separation = False
-        separation_depth = _separation_depth(u, v, m, bound, successor, cap)
+        separation_depth = _Solver(u, v, successor, cap).separation_depth(m, bound)
     else:
         # Level 1: a sentence tells the words apart. Without successor the
         # witness v is empty, so pure existence separates; with successor

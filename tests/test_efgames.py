@@ -18,7 +18,7 @@ from fo2words import (
     partial_iso,
     ranker_equiv,
 )
-from fo2words.efgames import DEFAULT_GAME_CAP, _answered, _separation_depth, _Solver
+from fo2words.efgames import DEFAULT_GAME_CAP, _answered, _Solver
 import game_reference as reference
 from helpers import random_sentence
 
@@ -453,9 +453,8 @@ def _outcome(search, *args):
 
 
 def test_separation_depth_matches_the_per_depth_search():
-    # one bottom-up pass against a fresh game per depth; under the smaller
-    # caps the pass for depth `bound` is refused, and the search past m must
-    # go on depth by depth, stopping or raising where the per-depth one does
+    # one bottom-up pass up to depth m, then a game per depth, against a fresh
+    # game per depth from depth 1: the same depth, or the same cap error
     rng = random.Random(16)
     seen = Counter()
     for _ in range(2_000):
@@ -468,15 +467,27 @@ def test_separation_depth_matches_the_per_depth_search():
         u, v = W(u, alphabet), W(v, alphabet)
         m, successor = rng.randint(1, 4), rng.random() < 0.5
         bound = rng.randint(1, m + 4)
-        cap = rng.choice([DEFAULT_GAME_CAP, (len(u) + 1) * (len(v) + 1) * rng.randint(3, 12)])
-        args = (u, v, m, bound, successor, cap)
-        want = _outcome(_first_lost_depth, *args)
-        assert _outcome(_separation_depth, *args) == want, args
-        refused = bound > m and _needed(game_equiv_alt, u, v, m, bound, with_successor=successor) > cap
-        kind = "none" if want is None else "cap" if isinstance(want, tuple) else (
-            "first pass" if want <= m else "second pass")
-        seen[kind, refused] += 1
-    # a refused pass with no separation is no case: the per-depth search
-    # also solves depth `bound`, under the same cap
-    assert set(seen) == {("first pass", False), ("first pass", True), ("second pass", False),
-                         ("second pass", True), ("none", False), ("cap", True)}, seen
+        cells = (len(u) + 1) * (len(v) + 1)
+        cap = rng.choice([DEFAULT_GAME_CAP, cells * rng.randint(2, 12)])
+        want = _outcome(_first_lost_depth, u, v, m, bound, successor, cap)
+        got = _outcome(lambda: _Solver(u, v, successor, cap).separation_depth(m, bound))
+        assert got == want, (u, v, m, bound, successor, cap)
+        if isinstance(want, tuple):  # an unbounded game keeps 3 relations live
+            kind = "cap at depth <= m" if want[1] == 3 * cells else "cap past m"
+        else:
+            kind = "none" if want is None else "depth <= m" if want <= m else "depth past m"
+        seen[kind] += 1
+    assert set(seen) == {"depth <= m", "depth past m", "none", "cap at depth <= m",
+                         "cap past m"}, seen
+
+
+def test_unbounded_game_keeps_the_reference_live_count():
+    # whatever n, an unbounded game keeps as many relations live under the
+    # cap as the reference solver keeps tables: its key rule, checked whole
+    u, v = W("abbab"), W("baab")
+    for successor in (False, True):
+        for n in [*range(1, 12), 40]:
+            got = _needed(game_equiv, u, v, n, with_successor=successor)
+            want = _needed(reference.game_equiv, u, v, n, with_successor=successor)
+            assert got // ((len(u) + 1) * (len(v) + 1)) == want // (
+                (len(u) + 1) ** 2 * (len(v) + 1) ** 2), (successor, n)
