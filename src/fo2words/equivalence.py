@@ -10,9 +10,11 @@ alternation variants, at most m direction blocks):
 
 One breadth-first walk over both words at once (`rankers._walk`) finds the
 least ranker defined on one word only, which fails (a), or else keeps the
-least ranker of each state: positions on u and v, blocks, last direction
-and, with successor, length. (b) and (c) read a ranker only through its
-state, so the witnesses are those of a check over every ranker.
+least ranker of each state: its positions on u and v, and, with an
+alternation bound or with successor, its blocks and last direction (with
+successor, its length too). (b) and (c) read a ranker only through its
+state and its length, and the least ranker of a state is also its
+shortest, so the witnesses are those of a check over every ranker.
 
 Conditions (b) and (c) compare every row ranker with a set of column rankers
 through the comparison the signature sees: `order_type`, or with successor
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
+from . import rankers
 from .errors import AlphabetMismatchError
 from .rankers import AnyRanker, Direction, _walk, render_ranker
 from .words import Word, order_type, suc_order_type
@@ -131,7 +134,7 @@ def _structure_check(u: Word, v: Word, n: int, m: Optional[int], successor: bool
         raise ValueError("n must be >= 1")
     if m is not None and m < 1:
         raise ValueError("m must be >= 1")
-    common, pos_u, pos_v, blocks, one_sided = _walk(u, v, n, m, successor)
+    common, pos_u, pos_v, blocks, one_sided = _walk(u, v, n, m, successor, rankers.DEFAULT_ENUMERATION_CAP)
     if one_sided is not None:
         entry = WitnessEntry(*one_sided)
         return EquivReport(False, FailedCondition.DEFINEDNESS, (entry,), n, m, successor)

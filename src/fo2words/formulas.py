@@ -16,6 +16,7 @@ from enum import Enum
 from operator import and_, or_, xor
 from typing import Iterable, Optional, Sequence
 
+from . import rankers
 from .errors import (
     FormulaSyntaxError,
     FreeVariableError,
@@ -726,5 +727,6 @@ def unique_position_report(f: Formula, corpus: Iterable[Word]) -> UniquePosition
     if is_unique:
         for w, p in positions.items():
             if len(p) == 1:
-                coincidence[w] = p[0] in _walk(w, w, depth, None, False)[1]  # realized positions
+                walked = _walk(w, w, depth, None, False, rankers.DEFAULT_ENUMERATION_CAP)
+                coincidence[w] = p[0] in walked[1]  # realized positions
     return UniquePositionReport(positions, is_unique, coincidence, depth)

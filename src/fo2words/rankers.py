@@ -6,8 +6,10 @@ occurrence makes the whole ranker undefined (returned as None).
 
 Over {<, suc} a step also requires a window of letters around its position.
 A plain ranker is a successor ranker whose windows are all empty, so one step
-type, one evaluator and one enumerator serve both signatures, and one walk
-over two words at once serves the equivalence check of both.
+type and one evaluator serve both signatures. One breadth-first walk over two
+words at once serves both too: over a word and itself it enumerates the
+rankers realized on it, and over two words it finds the rankers that their
+equivalence check compares.
 """
 
 from __future__ import annotations
@@ -133,15 +135,16 @@ def eval_boundary(p: BoundaryPos, w: Word, start: int | None = None) -> int | No
     """Position of the first/last window match on w, strictly beyond `start`
     when given; None when absent."""
     window = p.before + p.letter + p.after
-    return _match(w.text, p.direction, window, len(p.before), len(p.after), start)
+    right = p.direction is Direction.RIGHT
+    return _match(w.text, right, window, len(p.before), len(p.after), start)
 
 
 def _match(
-    text: str, direction: Direction, window: str, k: int, ell: int, start: int | None
+    text: str, right: bool, window: str, k: int, ell: int, start: int | None
 ) -> int | None:
     # the window's letter sits k characters into it; a match must lie
     # strictly right (left) of `start`, with the whole window inside text
-    if direction is Direction.RIGHT:
+    if right:
         idx = text.find(window, 0 if start is None else max(0, start - k))
     else:
         idx = text.rfind(window, 0, len(text) if start is None else max(0, start - 1 + ell))
@@ -225,7 +228,7 @@ class RealizedSet:
 def _steps(texts: tuple[str, ...], width: int) -> list[tuple]:
     """The candidate steps whose window occurs in one of the texts, each side
     at most `width` letters, in the order `sort_key` sorts steps, as
-    (step, direction, window, before width, after width).
+    (step, whether it goes right, window, before width, after width).
 
     A window that occurs in none of the texts is undefined everywhere on
     them, so harvesting from the words loses nothing.
@@ -238,7 +241,7 @@ def _steps(texts: tuple[str, ...], width: int) -> list[tuple]:
         for i in range(k, len(text) - ell)
     })
     return [
-        (BoundaryPos(direction, letter, before, after), direction,
+        (BoundaryPos(direction, letter, before, after), direction is Direction.RIGHT,
          before + letter + after, len(before), len(after))
         for direction in (Direction.RIGHT, Direction.LEFT)
         for before, letter, after in windows
@@ -246,43 +249,12 @@ def _steps(texts: tuple[str, ...], width: int) -> list[tuple]:
 
 
 def _realize(w: Word, n: int, alt_bound: int | None, cap: int, successor: bool) -> RealizedSet:
-    """All rankers of length <= n (and <= alt_bound direction blocks) defined on w.
-
-    Breadth-first: only rankers whose prefix is defined are extended, since
-    an undefined prefix makes every extension undefined. Each depth extends
-    the previous depth's rankers in order by the candidate steps in order,
-    so the rankers come out in `sort_key` order. The i-th step's windows are
-    at most i-1 wide with successor, empty without.
-    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if alt_bound is not None and alt_bound < 1:
         raise ValueError("alt_bound must be >= 1 when given")
-    make = SucRanker if successor else Ranker
-    text = w.text
-    found: dict[Ranker, int] = {}
-    # (steps, position of the last step, direction blocks)
-    frontier: list[tuple[tuple[BoundaryPos, ...], int | None, int]] = [((), None, 0)]
-    for depth in range(1, n + 1):
-        if depth == 1 or successor:
-            candidates = _steps((text,), depth - 1 if successor else 0)
-        next_frontier = []
-        for steps, pos, blocks in frontier:
-            last = steps[-1].direction if steps else None
-            for step, direction, window, k, ell in candidates:
-                b = blocks + (direction is not last)
-                if alt_bound is not None and b > alt_bound:
-                    continue
-                new_pos = _match(text, direction, window, k, ell, pos)
-                if new_pos is None:
-                    continue
-                new_steps = steps + (step,)
-                found[make(new_steps)] = new_pos
-                if len(found) > cap:
-                    raise EnumerationCapError(cap, len(w))
-                next_frontier.append((new_steps, new_pos, b))
-        frontier = next_frontier
-    return RealizedSet(w, found)
+    rankers, positions = _walk(w, w, n, alt_bound, successor, cap, every=True)[:2]
+    return RealizedSet(w, dict(zip(rankers, positions)))
 
 
 def realized_rankers(
@@ -305,56 +277,65 @@ def realized_suc_rankers(
     return _realize(w, n, alt_bound, cap, successor=True)
 
 
-def _walk(u: Word, v: Word, n: int, alt_bound: int | None, successor: bool):
-    """The rankers of length <= n (and <= alt_bound blocks) on u and v at
-    once, one per state, for the equivalence check.
+def _walk(u: Word, v: Word, n: int, alt_bound: int | None, successor: bool, cap: int,
+          every: bool = False):
+    """The rankers of length <= n (and <= alt_bound direction blocks) on u
+    and v, breadth-first: every one defined on both with `every` (on u = v,
+    the rankers realized on the word), else one per state.
 
-    A state is (x, y, blocks, last direction): a ranker's positions on u and
-    on v, its direction blocks and its last direction; with successor, its
-    length too, since the window cap grows with it. Without successor, a
-    shallower visit of a state reaches all that a deeper one reaches. The
-    frontier stays in order and the steps are tried in order, so each state
-    is first reached by its least ranker in `sort_key` order, the one kept.
+    A state is a ranker's positions on u and on v and, with an alternation
+    bound or successor, its blocks and whether its last step goes right;
+    with successor, its length too, since the window cap grows with it.
+    Without successor a shallower visit of a state reaches all that a deeper
+    one does, so a state is visited once and the walk ends at the first
+    depth with no new state, however large n is. Only rankers defined on
+    both words are extended, each depth in order by the candidate steps in
+    order, so rankers come out in `sort_key` order and each state keeps its
+    least ranker.
 
-    Returns the kept rankers in order, their positions on u and on v and
-    their blocks, and, if some ranker is defined on only one word, the least
-    one with its positions (the lists then stop short). Each state has its
-    own least ranker, so `DEFAULT_ENUMERATION_CAP` on the states trips only
-    where enumerating either word's rankers would.
+    Returns the kept rankers, their positions on u and on v and their
+    blocks, and the least ranker defined on one word only with its
+    positions, if any (the lists then stop short). More than `cap` kept
+    rankers raise `EnumerationCapError`; on states, that trips only where
+    enumerating either word's rankers would.
     """
     make = SucRanker if successor else Ranker
     tu, tv = u.text, v.text
+    by_position = not successor and alt_bound is None
     rankers, pos_u, pos_v, blocks = [], [], [], []
-    # (steps, position on u, position on v, direction blocks, last direction)
+    # (steps, position on u, position on v, direction blocks, last step goes right)
     frontier: list[tuple] = [((), None, None, 0, None)]
     for depth in range(1, n + 1):
+        if not frontier:
+            break
         if depth == 1 or successor:
             candidates = _steps((tu, tv), depth - 1 if successor else 0)
             seen = set()  # with successor, each length has its own states
         next_frontier = []
         for steps, x, y, b0, last in frontier:
-            for step, direction, window, k, ell in candidates:
-                b = b0 + (direction is not last)
+            for step, right, window, k, ell in candidates:
+                b = b0 + (right is not last)
                 if alt_bound is not None and b > alt_bound:
                     continue
-                x2 = _match(tu, direction, window, k, ell, x)
-                y2 = _match(tv, direction, window, k, ell, y)
+                x2 = _match(tu, right, window, k, ell, x)
+                y2 = _match(tv, right, window, k, ell, y)
                 if x2 is None and y2 is None:
                     continue
                 new_steps = steps + (step,)
                 if x2 is None or y2 is None:
                     return rankers, pos_u, pos_v, blocks, (make(new_steps), x2, y2)
-                state = (x2, y2, b, direction)
-                if state in seen:
-                    continue
-                seen.add(state)
+                if not every:
+                    state = (x2, y2) if by_position else (x2, y2, b, right)
+                    if state in seen:
+                        continue
+                    seen.add(state)
                 rankers.append(make(new_steps))
-                if len(rankers) > DEFAULT_ENUMERATION_CAP:
-                    raise EnumerationCapError(DEFAULT_ENUMERATION_CAP, len(u))
+                if len(rankers) > cap:
+                    raise EnumerationCapError(cap, len(u))
                 pos_u.append(x2)
                 pos_v.append(y2)
                 blocks.append(b)
-                next_frontier.append((new_steps, x2, y2, b, direction))
+                next_frontier.append((new_steps, x2, y2, b, right))
         frontier = next_frontier
     return rankers, pos_u, pos_v, blocks, None
 

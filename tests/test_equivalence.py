@@ -1,4 +1,5 @@
 import random
+import signal
 
 import pytest
 
@@ -307,11 +308,54 @@ def test_large_successor_check_stays_small():
 def test_walk_over_its_cap_raises(monkeypatch):
     from fo2words import rankers
 
-    # the decider walks 4 states at n=1, 24 at n=3 and 18 with successor at
-    # m=2, n=2 on this word
+    # the decider walks 4 states at n=1, 18 at n=4 and 20 with successor at
+    # m=2, n=2 on this word; a plain walk of a word against itself has at
+    # most one state per position, so the word has more than 17 letters
     monkeypatch.setattr(rankers, "DEFAULT_ENUMERATION_CAP", 17)
-    u = W("abaabbab")
+    u = W("abaabbab" * 3)
     assert ranker_equiv(u, u, 1).verdict is True
-    for check in (lambda: ranker_equiv(u, u, 3), lambda: suc_ranker_equiv_alt(u, u, 2, 2)):
+    for check in (lambda: ranker_equiv(u, u, 4), lambda: suc_ranker_equiv_alt(u, u, 2, 2)):
         with pytest.raises(EnumerationCapError):
             check()
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+@pytest.mark.parametrize(
+    "u, v",
+    [
+        ("abab", "abab"),
+        ("abab", "abba"),
+        ("aabab" * 20, "aabab" * 20),
+        ("aabab" * 20, "aabab" * 19 + "ababa"),
+    ],
+    ids=["abab-abab", "abab-abba", "100-letters-same", "100-letters-differ"],
+)
+def test_plain_walk_stops_when_no_state_is_new(monkeypatch, u, v):
+    # a plain unbounded walk has at most (|u|+1)(|v|+1) states, so its report
+    # at a huge n is read off the same walk as at a small one. The call
+    # counter stops a walk whose states keep growing, the alarm one that
+    # steps through every empty depth.
+    from fo2words import rankers
+
+    match, calls = rankers._match, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        if calls[0] > 20_000:
+            raise AssertionError("the walk keeps finding new states")
+        return match(*args)
+
+    def alarm(signum, frame):
+        raise AssertionError("the walk did not stop at its last new state")
+
+    monkeypatch.setattr(rankers, "_match", counted)
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        huge = ranker_equiv(W(u), W(v), 10**9).to_json_dict()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    small = ranker_equiv(W(u), W(v), 5).to_json_dict()
+    assert huge.pop("n") == 10**9 and small.pop("n") == 5
+    assert huge == small

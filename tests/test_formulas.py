@@ -49,7 +49,7 @@ from fo2words import (
     unique_position_report,
 )
 from fo2words.formulas import _Program
-from fo2words.rankers import _walk
+from fo2words.rankers import DEFAULT_ENUMERATION_CAP, _walk
 
 AB = Alphabet(("a", "b"))
 ABC = Alphabet(("a", "b", "c"))
@@ -668,7 +668,8 @@ def test_walk_positions_are_realized_positions():
         for w in all_words(alphabet, max_len):
             for depth in range(1, 5):
                 realized = set(realized_rankers(w, depth).positions.values())
-                assert set(_walk(w, w, depth, None, False)[1]) == realized, (w.text, depth)
+                walked = _walk(w, w, depth, None, False, DEFAULT_ENUMERATION_CAP)
+                assert set(walked[1]) == realized, (w.text, depth)
 
 
 def test_unique_position_report_long_ranker():

@@ -228,6 +228,36 @@ def test_realized_matches_naive_enumeration(alphabet):
         assert realized_rankers(w, 3).positions == _naive_realized(w, 3)
 
 
+def _syntactic_suc_rankers(letters, n):
+    """Every successor ranker of length <= n over the letters, step i with
+    windows of at most i-1 letters a side."""
+    steps = []
+    for i in range(1, n + 1):
+        windows = ["".join(t) for k in range(i) for t in itertools.product(letters, repeat=k)]
+        steps.append([
+            NeighborhoodBoundaryPos(d, before, c, after)
+            for d in (R, L) for c in letters for before in windows for after in windows
+        ])
+        yield from (SucRanker(combo) for combo in itertools.product(*steps))
+
+
+@pytest.mark.parametrize("alt_bound", [None, 1])
+def test_realized_suc_matches_naive_enumeration(alt_bound):
+    # independent of the walk: every syntactic ranker, filtered by evaluation
+    for max_len, n in ((6, 2), (4, 3)):
+        syntactic = [
+            r for r in _syntactic_suc_rankers(AB.letters, n)
+            if alt_bound is None or alternation_blocks(r) <= alt_bound
+        ]
+        for w in all_words(AB, max_len):
+            defined = [(r, eval_suc_ranker(r, w)) for r in syntactic]
+            expected = sorted(((r, p) for r, p in defined if p is not None), key=lambda rp: sort_key(rp[0]))
+            for depth in range(1, n + 1):
+                realized = realized_suc_rankers(w, depth, alt_bound)
+                want = [(r, p) for r, p in expected if len(r) <= depth]
+                assert list(realized.positions.items()) == want, (w.text, depth)
+
+
 def test_realized_alt_bound_filter():
     w = W("abab")
     full = realized_rankers(w, 3)
