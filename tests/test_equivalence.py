@@ -331,7 +331,7 @@ def test_walk_over_its_cap_raises(monkeypatch):
     ids=["abab-abab", "abab-abba", "100-letters-same", "100-letters-differ"],
 )
 def test_plain_walk_stops_when_no_state_is_new(monkeypatch, u, v):
-    # a plain unbounded walk has at most (|u|+1)(|v|+1) states, so its report
+    # a plain unbounded walk has at most |u|·|v| states, so its report
     # at a huge n is read off the same walk as at a small one. The call
     # counter stops a walk whose states keep growing, the alarm one that
     # steps through every empty depth.
