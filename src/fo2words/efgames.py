@@ -22,7 +22,7 @@ relation per (budget, side of the previous move); a move on the other
 side spends one switch. With d moves left Samson changes sides at most d
 times, so every budget of d or more is one relation, the unbounded M_d.
 The relations do not depend on the total depth, so one bottom-up pass
-reads the verdict of every depth up to its own.
+reads every depth's verdict, and stops at a level equal to the one below.
 
 A relation is a list of |u| Python ints, one row per position i of u,
 with bit j-1 set when (i, j) is in the relation; moves on both words are
@@ -39,8 +39,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from itertools import accumulate, repeat
-from operator import and_, or_
+from itertools import accumulate, chain
+from operator import add, and_, or_
 from typing import Optional
 
 from .errors import GameResourceError
@@ -56,7 +56,8 @@ class Side(Enum):
 
 @dataclass(frozen=True)
 class GameConfig:
-    """A game position: two words, paired pebbles, and the move bookkeeping."""
+    """A game position: two words and paired pebbles. `depth_left`, `switch_budget`
+    and `last_side` are read by nothing; the game functions take them as arguments."""
 
     u: Word
     v: Word
@@ -159,42 +160,41 @@ class _Solver:
         if needed > self.cap:
             raise GameResourceError(needed, self.cap)
 
-    def _levels_needed(self, n: int, budget: Optional[int], sides: list[Side]) -> list[set]:
-        """Which (budget, last-side) relations each move level requires: k levels
-        below the top, budget B-k' after k' <= min(k, B) changes of side."""
+    def _level_keys(self, n: int, budget: Optional[int], sides: list[Side], d: int) -> set:
+        """The relations level d of the depth-n game needs: budget B-k after k changes of side."""
         if budget is None:
-            return [{(None, None)} for _ in range(n)]
-        return [
-            {(budget - k, s if k % 2 == 0 else _other(s))
-             for s in sides for k in range(min(n - 1 - d, budget) + 1)}
-            for d in range(n)
-        ]
+            return {(None, None)}
+        return {_key(d, budget - k, s if k % 2 == 0 else _other(s))
+                for s in sides for k in range(min(n - 1 - d, budget) + 1)}
 
     def levels(self, n: int, budget: Optional[int], sides: list[Side]) -> Iterator[dict]:
         """The relations of move levels 0..n-1 (d moves left), bottom-up, keyed as
         the depth-n game needs them; the cap is checked before the first is built.
 
-        The unbounded chain M_0 ⊇ M_1 ⊇ … stops at its fixpoint: M_{d+1} is a
-        function of M_d alone, so once M_d = M_{d-1} every deeper level is M_d.
+        They stop at the first level equal to the one below. Level d <= B holds the
+        collapsed key (None, None) and level d+1 a key of budget d, so two levels
+        are equal only where every key binds, or none does. There each higher
+        level's keys are a subset of level d's, each built from level d as level d
+        was from the one below: by induction each is level d, restricted to its
+        keys, which include the (B, s) that the top is read by.
         """
-        unbounded = budget is None or budget >= n - 1  # no level has a budget that binds
-        if unbounded:  # one relation per level, whatever n
-            needed, max_live = repeat({(None, None)}, n), 2
-        else:
-            needed = self._levels_needed(n, budget, sides)
-            for d, keys in enumerate(needed):
-                needed[d] = {_key(d, *key) for key in keys}
-            max_live = max(len(needed[d]) + (len(needed[d - 1]) if d else 1) for d in range(n))
-        self._check_cap(max_live + 1)  # + letter equality
+        if budget is not None and budget >= n - 1:
+            budget = None  # no level's budget can bind
+        # levels budget+3 .. n-budget-4 all have the same number of keys
+        edge = (budget or 0) + 3
+        sizes = [len(self._level_keys(n, budget, sides, d))
+                 for d in chain(range(min(edge, n)), range(max(edge, n - edge), n))]
+        self._check_cap(max(map(add, sizes, [1, *sizes]), default=2) + 1)  # + letter equality
         letter_masks: dict[str, int] = {}
         for j, ch in enumerate(self.v.text):
             letter_masks[ch] = letter_masks.get(ch, 0) | 1 << j
         letters = [letter_masks.get(ch, 0) for ch in self.u.text]
         prev = None
-        for d, keys in enumerate(needed):
+        for d in range(n):
+            keys = self._level_keys(n, budget, sides, d)
             level = {key: self._build(prev, d, *key) if d else letters for key in keys}
             yield level
-            if unbounded and level == prev:
+            if level == prev:
                 return
             prev = level
 

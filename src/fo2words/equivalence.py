@@ -11,8 +11,8 @@ alternation variants, at most m direction blocks):
 One breadth-first walk over both words at once (`rankers._walk`) finds the
 least ranker defined on one word only, which fails (a), or else keeps the
 least ranker of each state: its positions on u and v, and, with an
-alternation bound or with successor, its blocks and last direction (with
-successor, its length too). (b) and (c) read a ranker only through its
+alternation bound, its blocks and last direction (with successor, its
+length too). (b) and (c) read a ranker only through its
 state and its length, and the least ranker of a state is also its
 shortest, so the witnesses are those of a check over every ranker.
 

@@ -284,11 +284,11 @@ def _walk(u: Word, v: Word, n: int, alt_bound: int | None, successor: bool, cap:
     the rankers realized on the word), else one per state.
 
     A state is a ranker's positions on u and on v and, with an alternation
-    bound or successor, its blocks and whether its last step goes right;
-    with successor, its length too, since the window cap grows with it.
-    Without successor a shallower visit of a state reaches all that a deeper
-    one does, so a state is visited once and the walk ends at the first
-    depth with no new state, however large n is. Only rankers defined on
+    bound, its blocks and whether its last step goes right; with successor,
+    its length too, since the window cap grows with it. Without successor a
+    shallower visit of a state reaches all that a deeper one does, so a
+    state is visited once and the walk ends at the first depth with no new
+    state, however large n is. Only rankers defined on
     both words are extended, each depth in order by the candidate steps in
     order, so rankers come out in `sort_key` order and each state keeps its
     least ranker.
@@ -301,7 +301,6 @@ def _walk(u: Word, v: Word, n: int, alt_bound: int | None, successor: bool, cap:
     """
     make = SucRanker if successor else Ranker
     tu, tv = u.text, v.text
-    by_position = not successor and alt_bound is None
     rankers, pos_u, pos_v, blocks = [], [], [], []
     # (steps, position on u, position on v, direction blocks, last step goes right)
     frontier: list[tuple] = [((), None, None, 0, None)]
@@ -325,7 +324,7 @@ def _walk(u: Word, v: Word, n: int, alt_bound: int | None, successor: bool, cap:
                 if x2 is None or y2 is None:
                     return rankers, pos_u, pos_v, blocks, (make(new_steps), x2, y2)
                 if not every:
-                    state = (x2, y2) if by_position else (x2, y2, b, right)
+                    state = (x2, y2) if alt_bound is None else (x2, y2, b, right)
                     if state in seen:
                         continue
                     seen.add(state)

@@ -18,7 +18,7 @@ from fo2words import (
     partial_iso,
     ranker_equiv,
 )
-from fo2words.efgames import DEFAULT_GAME_CAP, _answered, _Solver
+from fo2words.efgames import DEFAULT_GAME_CAP, _answered, _key, _Solver
 import game_reference as reference
 from helpers import random_sentence
 
@@ -403,13 +403,20 @@ def test_relation_keys_match_propagation():
     # the keys, and so the live-relation count under the cap, are those the
     # reference solver reaches by propagating down from the top level
     word = W("ab")
+    solver = _Solver(word, word, False, DEFAULT_GAME_CAP)
     for n in range(12):
         for budget in [None, *range(12)]:
             for sides in ([Side.U, Side.V], [Side.U], [Side.V]):
-                got = _Solver(word, word, False, DEFAULT_GAME_CAP)._levels_needed(n, budget, sides)
+                got = [solver._level_keys(n, budget, sides, d) for d in range(n)]
                 want = reference._Solver(word, word, False, DEFAULT_GAME_CAP)._levels_needed(
                     n, budget, sides)
-                assert got == want, (n, budget, sides)
+                assert got == [{_key(d, *key) for key in keys} for d, keys in enumerate(want)], (
+                    n, budget, sides)
+                # the cap reads the live count off the levels near either end
+                live = max((len(got[d]) + (len(got[d - 1]) if d else 1) for d in range(n)), default=2)
+                with pytest.raises(GameResourceError) as caught:
+                    next(_Solver(word, word, False, 1).levels(n, budget, sides))
+                assert caught.value.needed == (live + 1) * 9, (n, budget, sides)
 
 
 @pytest.mark.parametrize("successor", [False, True], ids=["plain", "suc"])
@@ -417,11 +424,12 @@ def test_relation_keys_match_propagation():
                          ids=["unbounded", "budget-cannot-bind"])
 def test_unbounded_game_stops_at_its_fixpoint(game, successor, monkeypatch):
     # M_0 ⊇ M_1 ⊇ … shrinks at most |u|·|v| times before it repeats, so a
-    # deep game builds at most |u|·|v|+1 levels, and no per-level key list
+    # deep game builds at most |u|·|v|+1 levels. It lists one key, unbudgeted,
+    # for each of those and of the 6 levels its cap check reads
     u, v = W("abab"), W("abba")
     want = game(u, v, 50, with_successor=successor).to_json_dict()
-    built = []
-    build = _Solver._build
+    built, keyed = [], []
+    build, level_keys = _Solver._build, _Solver._level_keys
 
     def counted(self, *args):
         built.append(args[1])
@@ -429,12 +437,49 @@ def test_unbounded_game_stops_at_its_fixpoint(game, successor, monkeypatch):
             raise AssertionError("the unbounded chain did not stop at its fixpoint")
         return build(self, *args)
 
-    def no_key_list(self, *args):
-        raise AssertionError("an unbounded game lists no keys per level")
+    def counted_keys(self, n, budget, sides, d):
+        keyed.append(d)
+        if budget is not None or len(keyed) > 6 + len(u) * len(v) + 1:
+            raise AssertionError("an unbounded game lists one key per level it builds")
+        return level_keys(self, n, budget, sides, d)
 
     monkeypatch.setattr(_Solver, "_build", counted)
-    monkeypatch.setattr(_Solver, "_levels_needed", no_key_list)
+    monkeypatch.setattr(_Solver, "_level_keys", counted_keys)
     assert game(u, v, 10**9, with_successor=successor).to_json_dict() == want
+
+
+@pytest.mark.parametrize("successor", [False, True], ids=["plain", "suc"])
+def test_budgeted_game_stops_at_its_fixpoint(successor, monkeypatch):
+    # past the budget every key binds, and a level equal to the one below
+    # repeats at every deeper level. Each of the 2(B+1) relations of a level
+    # shrinks at most |u|·|v| times, so that happens by level
+    # B+3+2(B+1)·|u|·|v| (134 for m = 4 here) and n = 10**9 reads as n = 200
+    pairs = [(W("abab"), W("abba")), (W("abab"), W("abab"))]
+    cases = [(u, v, m, side) for u, v in pairs for m in range(1, 5) for side in (None, Side.U, Side.V)]
+    built, keyed = [], []
+    build, level_keys = _Solver._build, _Solver._level_keys
+
+    def counted(self, *args):
+        built.append(args[1])
+        if len(built) > 8 * 135:  # 2(B+1) relations per level, 135 levels
+            raise AssertionError("the budgeted game did not stop at its fixpoint")
+        return build(self, *args)
+
+    def counted_keys(self, *args):
+        keyed.append(args[-1])
+        if len(keyed) > 12 + 135:  # 2(B+3) levels for the cap, 135 built
+            raise AssertionError("the budgeted game lists keys for levels it does not build")
+        return level_keys(self, *args)
+
+    monkeypatch.setattr(_Solver, "_build", counted)
+    monkeypatch.setattr(_Solver, "_level_keys", counted_keys)
+    for u, v, m, side in cases:
+        reports = []
+        for n in (200, 10**9):
+            built.clear()
+            keyed.clear()
+            reports.append(game_equiv_alt(u, v, m, n, successor, side).to_json_dict())
+        assert reports[0] == reports[1], (u, v, m, side)
 
 
 def _first_lost_depth(u, v, m, bound, successor, cap):

@@ -282,12 +282,22 @@ def test_reports_match_pairwise_reference():
 
 
 def test_successor_states_keep_their_length():
-    # the same positions, blocks and direction reached by a longer ranker
-    # allow wider windows on the next step, so they are a different state
+    # the same positions reached by a longer ranker allow wider windows on
+    # the next step, so each depth of a successor walk has its own states
     u, v = W("abbbbb"), W("abbbb")
     report = suc_ranker_equiv(u, v, 3)
     assert report.to_json_dict() == _reference_report(u, v, 3, None, True)
     assert [render_ranker(e.ranker) for e in report.witnesses] == [">[|a|]>[|b|]>[bb|b|bb]"]
+
+
+@pytest.mark.parametrize("w", ["abab", "aabab"])
+def test_unbounded_successor_walk_keeps_one_ranker_per_position_pair(monkeypatch, w):
+    # with no alternation bound, blocks and last direction enter no
+    # condition, so a word against itself keeps at most |w| rankers per depth
+    from fo2words import rankers
+
+    monkeypatch.setattr(rankers, "DEFAULT_ENUMERATION_CAP", 2_000)
+    assert suc_ranker_equiv(W(w), W(w), 200).verdict is True
 
 
 def test_large_successor_check_stays_small():
