@@ -15,39 +15,15 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import __version__
-from .efgames import game_equiv, game_equiv_alt
-from .equivalence import (
-    ranker_equiv,
-    ranker_equiv_alt,
-    suc_ranker_equiv,
-    suc_ranker_equiv_alt,
-)
 from .errors import ResourceCapError
-from .formulas import (
-    Signature,
-    formula_metrics,
-    model_check,
-    parse_formula,
-    render_formula,
-    synth_definedness,
-    synth_position,
-)
-from .hierarchy import verify_hierarchy_level, witness_words, witness_words_suc
-from .rankers import (
-    DEFAULT_ENUMERATION_CAP,
-    alternation_blocks,
-    evaluate,
-    parse_ranker,
-    ranker_letters,
-    realized_rankers,
-    realized_suc_rankers,
-    render_ranker,
-)
-from .solver import CNF_ALPHABET, cnf_to_fo2, parse_dimacs, sat_search, shrink, small_model_bound
-from .words import Alphabet, Word
+
+if TYPE_CHECKING:
+    from .words import Alphabet, Word
+
+# Each command imports the modules it calls, so a command loads only those.
 
 
 class _UsageError(ValueError):
@@ -70,6 +46,8 @@ def _read_file(value: str) -> str:
 
 
 def _word(text: str, extra: Optional[str], *siblings: str) -> Word:
+    from .words import Alphabet, Word
+
     letters = set(text) | set(extra or "")
     for s in siblings:
         letters |= set(s)
@@ -87,6 +65,8 @@ def _emit(args, record: dict, text_lines: list[str]) -> None:
 
 
 def _cmd_eval_ranker(args) -> int:
+    from .rankers import evaluate, parse_ranker, ranker_letters, render_ranker
+
     ranker = parse_ranker(_read_inline(args.ranker))
     text = _read_inline(args.word)
     w = _word(text, args.alphabet, "".join(ranker_letters(ranker)))
@@ -97,10 +77,13 @@ def _cmd_eval_ranker(args) -> int:
 
 
 def _cmd_rankers(args) -> int:
+    from .rankers import DEFAULT_ENUMERATION_CAP, realized_rankers, realized_suc_rankers, render_ranker
+
     text = _read_inline(args.word)
     w = _word(text, args.alphabet)
     realize = realized_suc_rankers if args.suc else realized_rankers
-    items = realize(w, args.n, alt_bound=args.m, cap=args.cap).positions.items()
+    cap = DEFAULT_ENUMERATION_CAP if args.cap is None else args.cap
+    items = realize(w, args.n, alt_bound=args.m, cap=cap).positions.items()
     record = {
         "word": w.text,
         "n": args.n,
@@ -113,6 +96,9 @@ def _cmd_rankers(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    from .efgames import game_equiv, game_equiv_alt
+    from .equivalence import ranker_equiv, ranker_equiv_alt, suc_ranker_equiv, suc_ranker_equiv_alt
+
     tu = _read_inline(args.u)
     tv = _read_inline(args.v)
     u = _word(tu, args.alphabet, tv)
@@ -153,6 +139,8 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .formulas import Signature, model_check, parse_formula
+
     text = _read_inline(args.word)
     w = _word(text, args.alphabet)
     signature = Signature.ORDER_SUC if args.suc else Signature.ORDER
@@ -164,6 +152,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
+    from .formulas import Signature, formula_metrics, parse_formula
+    from .words import Alphabet
+
     source = _read_file(args.formula_file)
     alphabet = Alphabet(tuple(sorted(set(args.alphabet)))) if args.alphabet else _guess_alphabet(source)
     f = parse_formula(source, alphabet, Signature.ORDER_SUC)
@@ -184,6 +175,8 @@ def _cmd_metrics(args) -> int:
 
 
 def _guess_alphabet(source: str) -> Alphabet:
+    from .words import Alphabet
+
     # Best-effort: letter atoms are single characters directly followed by
     # '(' that are not part of the suc keyword or grammar punctuation.
     letters = set()
@@ -197,6 +190,9 @@ def _guess_alphabet(source: str) -> Alphabet:
 
 
 def _cmd_synth(args) -> int:
+    from .formulas import formula_metrics, render_formula, synth_definedness, synth_position
+    from .rankers import alternation_blocks, parse_ranker, render_ranker
+
     ranker = parse_ranker(_read_inline(args.ranker))
     f = synth_position(ranker) if args.position else synth_definedness(ranker)
     rendered = render_formula(f)
@@ -218,12 +214,17 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from .hierarchy import witness_words, witness_words_suc
+
     pair = witness_words_suc(args.m, args.n) if args.suc else witness_words(args.m, args.n)
     _emit(args, pair.to_json_dict(), [pair.u.text, pair.v.text])
     return 0
 
 
 def _cmd_verify_hierarchy(args) -> int:
+    from .formulas import Signature
+    from .hierarchy import verify_hierarchy_level
+
     signature = Signature.ORDER_SUC if args.suc else Signature.ORDER
     report = verify_hierarchy_level(args.m, args.n, signature)
     d = report.to_json_dict()
@@ -233,6 +234,10 @@ def _cmd_verify_hierarchy(args) -> int:
 
 
 def _cmd_sat(args) -> int:
+    from .formulas import Signature, parse_formula
+    from .solver import sat_search
+    from .words import Alphabet
+
     alphabet = Alphabet(tuple(sorted(set(args.alphabet))))
     f = parse_formula(_read_file(args.formula_file), alphabet, Signature.ORDER)
     result = sat_search(f, alphabet, max_len=args.max_len, exact_len=args.exact_len)
@@ -246,6 +251,8 @@ def _cmd_sat(args) -> int:
 
 
 def _cmd_shrink(args) -> int:
+    from .solver import shrink, small_model_bound
+
     text = _read_inline(args.word)
     w = _word(text, args.alphabet)
     out = shrink(w, args.n)
@@ -261,6 +268,9 @@ def _cmd_shrink(args) -> int:
 
 
 def _cmd_reduce_cnf(args) -> int:
+    from .formulas import render_formula
+    from .solver import CNF_ALPHABET, cnf_to_fo2, parse_dimacs, sat_search
+
     cnf = parse_dimacs(_read_file(args.dimacs_file))
     formula, n = cnf_to_fo2(cnf)
     rendered = render_formula(formula)
@@ -297,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-m", type=int, default=None, help="max alternation blocks")
     sp.add_argument("--suc", action="store_true", help="successor rankers")
     sp.add_argument("--alphabet")
-    sp.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
+    sp.add_argument("--cap", type=int, default=None)
 
     sp = add("equiv", _cmd_equiv, help="decide depth-n equivalence of two words")
     sp.add_argument("u")

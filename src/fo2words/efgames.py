@@ -111,6 +111,14 @@ def _key(d: int, budget: Optional[int], last: Optional[Side]) -> tuple:
     return (None, None) if budget is None or budget >= d else (budget, last)
 
 
+def _level_size(n: int, budget: Optional[int], sides: list[Side], d: int) -> int:
+    """The number of _Solver._level_keys(n, budget, sides, d): the collapsed key
+    where a budget of d or more occurs, and one key per side for each budget below d."""
+    if budget is None:
+        return 1
+    return (budget >= d) + len(sides) * max(0, min(n - 1 - d, budget) - max(0, budget - d + 1) + 1)
+
+
 def _answered(rows: list[int], width: int, successor: bool, side: Side) -> list[int]:
     """The pairs (i, j) from which every move on `side`, other than onto i or
     j itself, has an answer in `rows` placed relative to (i, j) as the move is.
@@ -150,6 +158,8 @@ class _Solver:
     """One game instance: fixed words, fixed comparison."""
 
     def __init__(self, u: Word, v: Word, with_successor: bool, cap: int):
+        if cap < 0:
+            raise ValueError(f"cap must be >= 0, got {cap}")
         self.u, self.v = u, v
         self.lu, self.lv = len(u), len(v)
         self.with_successor = with_successor
@@ -182,7 +192,7 @@ class _Solver:
             budget = None  # no level's budget can bind
         # levels budget+3 .. n-budget-4 all have the same number of keys
         edge = (budget or 0) + 3
-        sizes = [len(self._level_keys(n, budget, sides, d))
+        sizes = [_level_size(n, budget, sides, d)
                  for d in chain(range(min(edge, n)), range(max(edge, n - edge), n))]
         self._check_cap(max(map(add, sizes, [1, *sizes]), default=2) + 1)  # + letter equality
         letter_masks: dict[str, int] = {}

@@ -253,6 +253,8 @@ def _realize(w: Word, n: int, alt_bound: int | None, cap: int, successor: bool) 
         raise ValueError("n must be >= 1")
     if alt_bound is not None and alt_bound < 1:
         raise ValueError("alt_bound must be >= 1 when given")
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
     rankers, positions = _walk(w, w, n, alt_bound, successor, cap, every=True)[:2]
     return RealizedSet(w, dict(zip(rankers, positions)))
 

@@ -277,7 +277,7 @@ def sat_search(
     the verdict is only "unsatisfiable up to here", even when the classes
     run out first.
     """
-    for name, value in (("max_len", max_len), ("exact_len", exact_len)):
+    for name, value in (("max_len", max_len), ("exact_len", exact_len), ("word_budget", word_budget)):
         if value is not None and value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
     metrics = formula_metrics(formula)

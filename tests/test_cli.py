@@ -229,12 +229,107 @@ def test_deep_input_exits_2_without_traceback(case, tmp_path, capsys):
     assert "recursion limit" in err and "Traceback" not in err
 
 
+def _fresh(code: str) -> str:
+    """Runs `code` in a fresh interpreter that imports fo2words from src/."""
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
 def test_cli_imports_without_numpy():
     # the library has no runtime dependency; only the tests' reference solver uses numpy
-    check = "import fo2words.cli, sys; assert 'numpy' not in sys.modules"
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-    result = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
+    _fresh("import fo2words.cli, sys; assert 'numpy' not in sys.modules")
+
+
+# each command's arguments, and the modules it loads besides cli and errors;
+# "import" runs no command
+COMMANDS = {
+    "import": (None, ""),
+    "eval-ranker": (">a ab", "words rankers"),
+    "rankers": ("ab -n 2", "words rankers"),
+    "equiv": ("ab ba -n 2 --method both", "words rankers equivalence efgames"),
+    "check": ("{sentence} ab", "words rankers formulas"),
+    "metrics": ("{sentence}", "words rankers formulas"),
+    "synth": (">a", "words rankers formulas"),
+    "sat": ("{sentence} --alphabet ab", "words rankers formulas solver"),
+    "shrink": ("aab -n 1", "words rankers formulas solver"),
+    "reduce-cnf": ("{cnf} --solve", "words rankers formulas solver"),
+    "witness": ("-m 2 -n 1", "words rankers formulas equivalence efgames hierarchy"),
+    "verify-hierarchy": ("-m 2 -n 1", "words rankers formulas equivalence efgames hierarchy"),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_loads_only_the_modules_it_calls(command, tmp_path):
+    sentence, cnf = tmp_path / "sentence.txt", tmp_path / "cnf.txt"
+    sentence.write_text("Ex.a(x)")
+    cnf.write_text("p cnf 2 1\n1 2 0\n")
+    args, modules = COMMANDS[command]
+    run = "" if args is None else f"main({[command, *args.format(sentence=sentence, cnf=cnf).split()]!r}); "
+    out = _fresh("import contextlib, io, sys\nfrom fo2words.cli import main\n"
+                 f"with contextlib.redirect_stdout(io.StringIO()): {run}pass\n"
+                 "print(*sorted(m for m in sys.modules if m.startswith('fo2words.')))")
+    assert out.split() == sorted(f"fo2words.{m}" for m in ["cli", "errors", *modules.split()])
+
+
+PUBLIC_NAMES = {
+    "words": "Alphabet OrderType Segment SucOrderType Word all_words order_type segments suc_order_type",
+    "rankers": "AnyRanker BoundaryPos Direction NeighborhoodBoundaryPos Ranker RealizedSet SucRanker "
+               "alternation_blocks eval_boundary eval_ranker eval_suc_boundary eval_suc_ranker evaluate "
+               "parse_ranker realized_rankers realized_suc_rankers render_ranker",
+    "formulas": "And Equal Exists Forall Formula FormulaMetrics Implies LetterAtom Less Not Or Signature "
+                "Suc UniquePositionReport formula_metrics free_vars model_check nnf parse_formula "
+                "render_formula satisfying_positions synth_comparison synth_definedness synth_position "
+                "unique_position_report",
+    "efgames": "GameConfig GameVerdict Side game_equiv game_equiv_alt game_equiv_general partial_iso",
+    "equivalence": "EquivReport FailedCondition WitnessEntry alphabet_collapse_check ranker_equiv "
+                   "ranker_equiv_alt suc_ranker_equiv suc_ranker_equiv_alt",
+    "hierarchy": "HierarchyReport SeparatingRankerPair WitnessPair separating_rankers "
+                 "verify_hierarchy_level witness_words witness_words_suc",
+    "solver": "Cnf SatResult SatStatus cnf_brute_force cnf_to_fo2 parse_dimacs sat_search shrink "
+              "small_model_bound",
+    "errors": "AlphabetMismatchError EnumerationCapError FormulaError FormulaSyntaxError "
+              "FreeVariableError GameResourceError ResourceCapError SearchBudgetError SignatureError "
+              "UnknownLetterError",
+}
+
+
+def test_namespace_lists_the_public_names():
+    names = json.loads(_fresh("import fo2words, json; print(json.dumps(fo2words.__all__))"))
+    want = [name for names in PUBLIC_NAMES.values() for name in names.split()]
+    assert len(want) == 92 and sorted(names) == sorted(want)
+    assert set(want) <= set(json.loads(_fresh("import fo2words, json; print(json.dumps(dir(fo2words)))")))
+
+
+def test_namespace_names_are_their_submodules_objects():
+    # a star import first, then each name by attribute, each against its submodule
+    _fresh("import importlib, fo2words\n"
+           "star = {}\n"
+           "exec('from fo2words import *', star)\n"
+           f"for module, names in {PUBLIC_NAMES!r}.items():\n"
+           "    sub = importlib.import_module('fo2words.' + module)\n"
+           "    for name in names.split():\n"
+           "        assert star[name] is getattr(sub, name), name\n"
+           "        assert getattr(fo2words, name) is getattr(sub, name), name\n")
+
+
+def test_namespace_resolves_submodules_and_rejects_unknown_names():
+    _fresh("import fo2words\n"
+           f"for module in {list(PUBLIC_NAMES)!r}:\n"
+           "    assert getattr(fo2words, module).__name__ == 'fo2words.' + module\n"
+           "try:\n"
+           "    fo2words.nope\n"
+           "except AttributeError:\n"
+           "    pass\n"
+           "else:\n"
+           "    raise AssertionError('fo2words.nope resolved')\n")
+
+
+def test_negative_cap_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "rankers", "ab", "-n", "2", "--cap", "-1")
+    assert code == 1 and out == ""
+    assert err == "error[usage]: cap must be >= 0, got -1\n"
 
 
 def test_stdin_and_file_inputs(tmp_path, capsys, monkeypatch):

@@ -18,7 +18,7 @@ from fo2words import (
     partial_iso,
     ranker_equiv,
 )
-from fo2words.efgames import DEFAULT_GAME_CAP, _answered, _key, _Solver
+from fo2words.efgames import DEFAULT_GAME_CAP, _answered, _key, _level_size, _Solver
 import game_reference as reference
 from helpers import random_sentence
 
@@ -536,3 +536,39 @@ def test_unbounded_game_keeps_the_reference_live_count():
             want = _needed(reference.game_equiv, u, v, n, with_successor=successor)
             assert got // ((len(u) + 1) * (len(v) + 1)) == want // (
                 (len(u) + 1) ** 2 * (len(v) + 1) ** 2), (successor, n)
+
+
+def test_level_size_counts_the_level_keys():
+    word = W("ab")
+    solver = _Solver(word, word, False, DEFAULT_GAME_CAP)
+    for n in range(1, 16):
+        for budget in [None, *range(n + 2)]:
+            for sides in ([Side.U, Side.V], [Side.U], [Side.V]):
+                for d in range(n):
+                    assert _level_size(n, budget, sides, d) == len(
+                        solver._level_keys(n, budget, sides, d)), (n, budget, sides, d)
+
+
+def test_cap_check_lists_no_level_keys(monkeypatch):
+    # the cap is read off the closed-form level sizes, so a deep budgeted game
+    # over the cap raises without listing any level's keys
+    keyed = []
+    level_keys = _Solver._level_keys
+
+    def counted_keys(self, *args):
+        keyed.append(args)
+        return level_keys(self, *args)
+
+    monkeypatch.setattr(_Solver, "_level_keys", counted_keys)
+    with pytest.raises(GameResourceError) as caught:
+        game_equiv_alt(W("abab"), W("abba"), 2000, 4002, cap=1)
+    assert caught.value.needed == 200_025 and keyed == []
+
+
+def test_negative_cap_is_a_usage_error():
+    u = W("abab")
+    for game, args in ((game_equiv, (u, u, 2)), (game_equiv_alt, (u, u, 1, 2)),
+                       (game_equiv_general, (u, 1, 2, u, 1, 2, 2))):
+        with pytest.raises(ValueError, match="cap must be >= 0"):
+            game(*args, cap=-1)
+        assert game(*args, cap=DEFAULT_GAME_CAP).delilah_wins

@@ -216,3 +216,9 @@ def test_witness_rejects_bad_parameters():
         witness_words(0, 1)
     with pytest.raises(ValueError):
         witness_words_suc(1, 0)
+
+
+def test_negative_game_cap_is_a_usage_error():
+    for m in (1, 2):
+        with pytest.raises(ValueError, match="cap must be >= 0"):
+            verify_hierarchy_level(m, 1, game_cap=-1)

@@ -161,6 +161,14 @@ def test_enumeration_cap():
     assert "5" in str(exc.value)
 
 
+def test_negative_cap_is_a_usage_error():
+    for realize in (realized_rankers, realized_suc_rankers):
+        with pytest.raises(ValueError, match="cap must be >= 0"):
+            realize(W("ab"), 2, cap=-1)
+        with pytest.raises(EnumerationCapError):  # a cap of zero is a cap, not a usage error
+            realize(W("ab"), 2, cap=0)
+
+
 def test_realized_set_invariant_positions_reproduce():
     for w in all_words(AB, 5):
         rs = realized_rankers(w, 3)

@@ -241,7 +241,7 @@ def test_sat_search_preconditions():
         sat_search(parse_formula("Ex.Ey.suc(x,y)", AB, Signature.ORDER_SUC), AB)
     with pytest.raises(SearchBudgetError):
         sat_search(parse_formula("Ex.Ay.(y<x & x<y)", ABC), ABC, word_budget=10)
-    for bounds in ({"max_len": -1}, {"max_len": -3}, {"exact_len": -1}):
+    for bounds in ({"max_len": -1}, {"max_len": -3}, {"exact_len": -1}, {"word_budget": -1}):
         with pytest.raises(ValueError, match="must be >= 0"):
             sat_search(parse_formula("Ex. a(x)", A1), A1, **bounds)
 
