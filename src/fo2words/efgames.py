@@ -22,7 +22,7 @@ relation per (budget, side of the previous move); a move on the other
 side spends one switch. With d moves left Samson changes sides at most d
 times, so every budget of d or more is one relation, the unbounded M_d.
 The relations do not depend on the total depth, so one bottom-up pass
-reads every depth's verdict, and stops at a level equal to the one below.
+reads every depth's verdict, and stops once no budget up to the top changes.
 
 A relation is a list of |u| Python ints, one row per position i of u,
 with bit j-1 set when (i, j) is in the relation; moves on both words are
@@ -39,8 +39,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from itertools import accumulate, chain
-from operator import add, and_, or_
+from itertools import accumulate
+from operator import and_, or_
 from typing import Optional
 
 from .errors import GameResourceError
@@ -111,12 +111,11 @@ def _key(d: int, budget: Optional[int], last: Optional[Side]) -> tuple:
     return (None, None) if budget is None or budget >= d else (budget, last)
 
 
-def _level_size(n: int, budget: Optional[int], sides: list[Side], d: int) -> int:
-    """The number of _Solver._level_keys(n, budget, sides, d): the collapsed key
-    where a budget of d or more occurs, and one key per side for each budget below d."""
-    if budget is None:
-        return 1
-    return (budget >= d) + len(sides) * max(0, min(n - 1 - d, budget) - max(0, budget - d + 1) + 1)
+def _window(n: int, budget: int, d: int, frontier: int = 0) -> range:
+    """The budgets level d of the depth-n game builds under keys of their own: B-k
+    after k changes of side in the n-1-d moves above, below d (d or more cannot bind;
+    level d <= B builds the collapsed key (None, None)), and not frozen below the frontier."""
+    return range(max(frontier, 0, budget - (n - 1 - d)), min(budget, d - 1) + 1)
 
 
 def _answered(rows: list[int], width: int, successor: bool, side: Side) -> list[int]:
@@ -170,41 +169,41 @@ class _Solver:
         if needed > self.cap:
             raise GameResourceError(needed, self.cap)
 
-    def _level_keys(self, n: int, budget: Optional[int], sides: list[Side], d: int) -> set:
-        """The relations level d of the depth-n game needs: budget B-k after k changes of side."""
-        if budget is None:
-            return {(None, None)}
-        return {_key(d, budget - k, s if k % 2 == 0 else _other(s))
-                for s in sides for k in range(min(n - 1 - d, budget) + 1)}
-
     def levels(self, n: int, budget: Optional[int], sides: list[Side]) -> Iterator[dict]:
         """The relations of move levels 0..n-1 (d moves left), bottom-up, keyed as
-        the depth-n game needs them; the cap is checked before the first is built.
+        the depth-n game reads them; the cap is checked before the first is built.
 
-        They stop at the first level equal to the one below. Level d <= B holds the
-        collapsed key (None, None) and level d+1 a key of budget d, so two levels
-        are equal only where every key binds, or none does. There each higher
-        level's keys are a subset of level d's, each built from level d as level d
-        was from the one below: by induction each is level d, restricted to its
-        keys, which include the (B, s) that the top is read by.
+        A budget is frozen at level d when it and every lower budget equal themselves
+        at level d-1: each is built from its own and the next lower budget one level
+        down, so they repeat at every deeper level and are not built. The levels stop
+        once the top budget is frozen, or, where no budget binds, once one repeats.
         """
-        if budget is not None and budget >= n - 1:
-            budget = None  # no level's budget can bind
-        # levels budget+3 .. n-budget-4 all have the same number of keys
-        edge = (budget or 0) + 3
-        sizes = [_level_size(n, budget, sides, d)
-                 for d in chain(range(min(edge, n)), range(max(edge, n - edge), n))]
-        self._check_cap(max(map(add, sizes, [1, *sizes]), default=2) + 1)  # + letter equality
+        budget = n - 1 if budget is None else budget  # n-1 or more cannot bind
+
+        def keyed(budgets) -> list[tuple]:  # B-k is left after k changes of side
+            return [(b, s if (budget - b) % 2 == 0 else _other(s)) for b in budgets for s in sides]
+
+        def size(d: int) -> int:  # level -1 holds the collapsed key alone
+            return len(sides) * len(_window(n, budget, d)) + (d <= budget)
+        # the window grows a budget a level up to min(B+1, n-1-B), holds, then shrinks, and
+        # the collapsed key goes past B: the largest pair of levels ends at B+1, B+2 or n-B
+        ends = (budget + 1, budget + 2, n - budget)
+        self._check_cap(max((size(d) + size(d - 1) for d in ends if 0 <= d < n), default=2) + 1)
         letter_masks: dict[str, int] = {}
         for j, ch in enumerate(self.v.text):
             letter_masks[ch] = letter_masks.get(ch, 0) | 1 << j
         letters = [letter_masks.get(ch, 0) for ch in self.u.text]
-        prev = None
+        prev, frontier = None, 0
         for d in range(n):
-            keys = self._level_keys(n, budget, sides, d)
-            level = {key: self._build(prev, d, *key) if d else letters for key in keys}
+            window = _window(n, budget, d, frontier)
+            level = {key: self._build(prev, d, *key) if d else letters
+                     for key in keyed(window) + [(None, None)] * (d <= budget)}
+            if _window(n, budget, d).start < window.start:  # carry the highest frozen budget
+                level.update((key, prev[key]) for key in keyed([window.start - 1]))
             yield level
-            if level == prev:
+            frontier = next((b for b in window if any(level[key] != prev[_key(d - 1, *key)]
+                                                      for key in keyed([b]))), window.stop)
+            if frontier > budget or budget >= n - 1 and level == prev:
                 return
             prev = level
 
@@ -239,8 +238,9 @@ class _Solver:
     def separation_depth(self, m: int, bound: int) -> Optional[int]:
         """The least depth <= bound at which Samson wins the m-alternation game
         from empty pebbles, or None; m >= 1. Up to depth m no budget binds, so
-        level d of one unbounded pass holds the top relation of depth d+1;
-        each deeper game is solved on its own."""
+        level d of one unbounded pass holds the top relation of depth d+1. Each
+        deeper game is solved, and its cap checked, on its own: a pass keyed for
+        `bound` would raise on that cap where a shallower depth answers."""
         budget, sides, start, top = m - 1, list(Side), (0, 0, 0, 0), min(m, bound)
         for d, level in enumerate(self.levels(top, budget, sides)):
             if self._first_move(level, d, budget, sides, start):

@@ -18,7 +18,7 @@ from fo2words import (
     partial_iso,
     ranker_equiv,
 )
-from fo2words.efgames import DEFAULT_GAME_CAP, _answered, _key, _level_size, _Solver
+from fo2words.efgames import DEFAULT_GAME_CAP, _answered, _key, _other, _Solver, _window
 import game_reference as reference
 from helpers import random_sentence
 
@@ -399,24 +399,45 @@ def test_move_rules_match_the_transposed_relation(successor):
         assert _answered(rows, lv, successor, Side.V) == _transpose(swapped, lu), (rows, lv)
 
 
+def _window_keys(n, budget, sides, d):
+    """The keys of level d by the window rule, no budget frozen: budget B-k, read
+    after k changes of side, on the start side or the other one by parity."""
+    budget = n - 1 if budget is None else budget
+    return {(b, s if (budget - b) % 2 == 0 else _other(s))
+            for b in _window(n, budget, d) for s in sides} | ({(None, None)} if d <= budget else set())
+
+
 def test_relation_keys_match_propagation():
-    # the keys, and so the live-relation count under the cap, are those the
-    # reference solver reaches by propagating down from the top level
+    # the window rule's keys, and so the live-relation count under the cap, are
+    # those the reference solver reaches by propagating down from the top level
     word = W("ab")
-    solver = _Solver(word, word, False, DEFAULT_GAME_CAP)
-    for n in range(12):
-        for budget in [None, *range(12)]:
+    solver = reference._Solver(word, word, False, DEFAULT_GAME_CAP)
+    for n in range(16):
+        for budget in [None, *range(n + 2)]:
             for sides in ([Side.U, Side.V], [Side.U], [Side.V]):
-                got = [solver._level_keys(n, budget, sides, d) for d in range(n)]
-                want = reference._Solver(word, word, False, DEFAULT_GAME_CAP)._levels_needed(
-                    n, budget, sides)
+                got = [_window_keys(n, budget, sides, d) for d in range(n)]
+                want = solver._levels_needed(n, budget, sides)
                 assert got == [{_key(d, *key) for key in keys} for d, keys in enumerate(want)], (
                     n, budget, sides)
-                # the cap reads the live count off the levels near either end
+                # the cap reads the live count off a few levels, not all n
                 live = max((len(got[d]) + (len(got[d - 1]) if d else 1) for d in range(n)), default=2)
                 with pytest.raises(GameResourceError) as caught:
                     next(_Solver(word, word, False, 1).levels(n, budget, sides))
                 assert caught.value.needed == (live + 1) * 9, (n, budget, sides)
+
+
+def _count_builds(monkeypatch, limit, why):
+    """Record the arguments after `prev` of every _Solver._build, failing past `limit`."""
+    built, build = [], _Solver._build
+
+    def counted(self, prev, *args):
+        built.append(args)
+        if len(built) > limit:
+            raise AssertionError(why)
+        return build(self, prev, *args)
+
+    monkeypatch.setattr(_Solver, "_build", counted)
+    return built
 
 
 @pytest.mark.parametrize("successor", [False, True], ids=["plain", "suc"])
@@ -424,62 +445,62 @@ def test_relation_keys_match_propagation():
                          ids=["unbounded", "budget-cannot-bind"])
 def test_unbounded_game_stops_at_its_fixpoint(game, successor, monkeypatch):
     # M_0 ⊇ M_1 ⊇ … shrinks at most |u|·|v| times before it repeats, so a
-    # deep game builds at most |u|·|v|+1 levels. It lists one key, unbudgeted,
-    # for each of those and of the 6 levels its cap check reads
+    # deep game builds at most |u|·|v|+1 levels, one collapsed relation each
     u, v = W("abab"), W("abba")
     want = game(u, v, 50, with_successor=successor).to_json_dict()
-    built, keyed = [], []
-    build, level_keys = _Solver._build, _Solver._level_keys
-
-    def counted(self, *args):
-        built.append(args[1])
-        if len(built) > len(u) * len(v) + 1:
-            raise AssertionError("the unbounded chain did not stop at its fixpoint")
-        return build(self, *args)
-
-    def counted_keys(self, n, budget, sides, d):
-        keyed.append(d)
-        if budget is not None or len(keyed) > 6 + len(u) * len(v) + 1:
-            raise AssertionError("an unbounded game lists one key per level it builds")
-        return level_keys(self, n, budget, sides, d)
-
-    monkeypatch.setattr(_Solver, "_build", counted)
-    monkeypatch.setattr(_Solver, "_level_keys", counted_keys)
+    built = _count_builds(monkeypatch, len(u) * len(v) + 1,
+                          "the unbounded chain did not stop at its fixpoint")
     assert game(u, v, 10**9, with_successor=successor).to_json_dict() == want
+    assert built == [(d, None, None) for d in range(1, len(built) + 1)]
 
 
 @pytest.mark.parametrize("successor", [False, True], ids=["plain", "suc"])
 def test_budgeted_game_stops_at_its_fixpoint(successor, monkeypatch):
-    # past the budget every key binds, and a level equal to the one below
-    # repeats at every deeper level. Each of the 2(B+1) relations of a level
-    # shrinks at most |u|·|v| times, so that happens by level
-    # B+3+2(B+1)·|u|·|v| (134 for m = 4 here) and n = 10**9 reads as n = 200
+    # past the budget every key binds, and once no budget changes from one level
+    # to the next, none changes at any deeper level. Each of the 2(B+1) relations
+    # of a level shrinks at most |u|·|v| times, so that happens by level
+    # B+3+2(B+1)·|u|·|v| (134 for m = 4 here), below the levels where the depth
+    # starts to drop low budgets: n = 10**9 builds what n = 200 builds
     pairs = [(W("abab"), W("abba")), (W("abab"), W("abab"))]
     cases = [(u, v, m, side) for u, v in pairs for m in range(1, 5) for side in (None, Side.U, Side.V)]
-    built, keyed = [], []
-    build, level_keys = _Solver._build, _Solver._level_keys
-
-    def counted(self, *args):
-        built.append(args[1])
-        if len(built) > 8 * 135:  # 2(B+1) relations per level, 135 levels
-            raise AssertionError("the budgeted game did not stop at its fixpoint")
-        return build(self, *args)
-
-    def counted_keys(self, *args):
-        keyed.append(args[-1])
-        if len(keyed) > 12 + 135:  # 2(B+3) levels for the cap, 135 built
-            raise AssertionError("the budgeted game lists keys for levels it does not build")
-        return level_keys(self, *args)
-
-    monkeypatch.setattr(_Solver, "_build", counted)
-    monkeypatch.setattr(_Solver, "_level_keys", counted_keys)
+    built = _count_builds(monkeypatch, 9 * 135,  # 2(B+1)+1 relations per level, 135 levels
+                          "the budgeted game did not stop at its fixpoint")
     for u, v, m, side in cases:
-        reports = []
+        reports, builds = [], []
         for n in (200, 10**9):
             built.clear()
-            keyed.clear()
             reports.append(game_equiv_alt(u, v, m, n, successor, side).to_json_dict())
-        assert reports[0] == reports[1], (u, v, m, side)
+            builds.append(list(built))
+        assert reports[0] == reports[1] and builds[0] == builds[1], (u, v, m, side)
+
+
+@pytest.mark.parametrize("successor", [False, True], ids=["plain", "suc"])
+def test_budget_close_to_half_the_depth_freezes(successor, monkeypatch):
+    # with m close to n/2 no level equals the one below, since the top levels
+    # drop low budgets; the budgets still freeze one by one from the lowest
+    u, v = W("ababa"), W("abbab")
+    want = game_equiv_alt(u, v, 300, 10**9, successor).to_json_dict()
+    built = _count_builds(monkeypatch, 4_999, "the budgets did not freeze")
+    assert game_equiv_alt(u, v, 300, 600, successor).to_json_dict() == want
+    assert built
+
+
+def test_deep_reports_match_reference_solver():
+    # whole reports past the exhaustive corpora's depth 3, where budgets freeze
+    # at different levels and the top levels drop the low ones
+    rng = random.Random(21)
+    seen = Counter()
+    for _ in range(3_000):
+        alphabet = rng.choice([AB, ABC])
+        u, v = (W("".join(rng.choice(alphabet.letters) for _ in range(rng.randint(0, 5))), alphabet)
+                for _ in range(2))
+        n = rng.randint(4, 12)
+        m = rng.randint(0, n + 1)
+        args = (u, v, m, n, rng.random() < 0.5, rng.choice([None, Side.U, Side.V]))
+        got = game_equiv_alt(*args).to_json_dict()
+        assert got == reference.game_equiv_alt(*args).to_json_dict(), args
+        seen[got["delilahWins"], args[-1], "binds" if 0 < m < n else "free"] += 1
+    assert len(seen) == 12, seen
 
 
 def _first_lost_depth(u, v, m, bound, successor, cap):
@@ -538,31 +559,13 @@ def test_unbounded_game_keeps_the_reference_live_count():
                 (len(u) + 1) ** 2 * (len(v) + 1) ** 2), (successor, n)
 
 
-def test_level_size_counts_the_level_keys():
-    word = W("ab")
-    solver = _Solver(word, word, False, DEFAULT_GAME_CAP)
-    for n in range(1, 16):
-        for budget in [None, *range(n + 2)]:
-            for sides in ([Side.U, Side.V], [Side.U], [Side.V]):
-                for d in range(n):
-                    assert _level_size(n, budget, sides, d) == len(
-                        solver._level_keys(n, budget, sides, d)), (n, budget, sides, d)
-
-
-def test_cap_check_lists_no_level_keys(monkeypatch):
-    # the cap is read off the closed-form level sizes, so a deep budgeted game
-    # over the cap raises without listing any level's keys
-    keyed = []
-    level_keys = _Solver._level_keys
-
-    def counted_keys(self, *args):
-        keyed.append(args)
-        return level_keys(self, *args)
-
-    monkeypatch.setattr(_Solver, "_level_keys", counted_keys)
+def test_cap_check_builds_no_relation(monkeypatch):
+    # the cap is read off a few levels' window sizes, so a deep budgeted game
+    # over the cap raises before any relation is built
+    built = _count_builds(monkeypatch, 0, "a relation was built before the cap check")
     with pytest.raises(GameResourceError) as caught:
         game_equiv_alt(W("abab"), W("abba"), 2000, 4002, cap=1)
-    assert caught.value.needed == 200_025 and keyed == []
+    assert caught.value.needed == 200_025 and built == []
 
 
 def test_negative_cap_is_a_usage_error():
