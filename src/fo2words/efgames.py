@@ -112,10 +112,15 @@ def _key(d: int, budget: Optional[int], last: Optional[Side]) -> tuple:
 
 
 def _window(n: int, budget: int, d: int, frontier: int = 0) -> range:
-    """The budgets level d of the depth-n game builds under keys of their own: B-k
-    after k changes of side in the n-1-d moves above, below d (d or more cannot bind;
-    level d <= B builds the collapsed key (None, None)), and not frozen below the frontier."""
+    """The budgets level d of the depth-n game keys on their own: B-k after k switches
+    in the n-1-d moves above, below d (d or more cannot bind), not frozen below the frontier."""
     return range(max(frontier, 0, budget - (n - 1 - d)), min(budget, d - 1) + 1)
+
+
+def _keys(n: int, budget: int, sides: list[Side], d: int, frontier: int = 0) -> list[tuple]:
+    """Level d's keys: each window budget on the side parity gives, then (None, None) if d <= B."""
+    return [(b, s if (budget - b) % 2 == 0 else _other(s)) for b in _window(n, budget, d, frontier)
+            for s in sides] + [(None, None)] * (d <= budget)
 
 
 def _answered(rows: list[int], width: int, successor: bool, side: Side) -> list[int]:
@@ -180,9 +185,6 @@ class _Solver:
         """
         budget = n - 1 if budget is None else budget  # n-1 or more cannot bind
 
-        def keyed(budgets) -> list[tuple]:  # B-k is left after k changes of side
-            return [(b, s if (budget - b) % 2 == 0 else _other(s)) for b in budgets for s in sides]
-
         def size(d: int) -> int:  # level -1 holds the collapsed key alone
             return len(sides) * len(_window(n, budget, d)) + (d <= budget)
         # the window grows a budget a level up to min(B+1, n-1-B), holds, then shrinks, and
@@ -195,14 +197,12 @@ class _Solver:
         letters = [letter_masks.get(ch, 0) for ch in self.u.text]
         prev, frontier = None, 0
         for d in range(n):
-            window = _window(n, budget, d, frontier)
-            level = {key: self._build(prev, d, *key) if d else letters
-                     for key in keyed(window) + [(None, None)] * (d <= budget)}
-            if _window(n, budget, d).start < window.start:  # carry the highest frozen budget
-                level.update((key, prev[key]) for key in keyed([window.start - 1]))
+            keys = _keys(n, budget, sides, d, frontier - 1)  # frontier-1, frozen, is carried up
+            level = {key: letters if not d else prev[key] if key[0] == frontier - 1
+                     else self._build(prev, d, *key) for key in keys}
             yield level
-            frontier = next((b for b in window if any(level[key] != prev[_key(d - 1, *key)]
-                                                      for key in keyed([b]))), window.stop)
+            frontier = next((b for b, s in keys if b is not None
+                             and level[b, s] != prev[_key(d - 1, b, s)]), min(budget, d - 1) + 1)
             if frontier > budget or budget >= n - 1 and level == prev:
                 return
             prev = level
