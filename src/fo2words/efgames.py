@@ -22,14 +22,14 @@ relation per (budget, side of the previous move); a move on the other
 side spends one switch. With d moves left Samson changes sides at most d
 times, so every budget of d or more is one relation, the unbounded M_d.
 The relations do not depend on the total depth, so one bottom-up pass
-reads every depth's verdict, and stops once no budget up to the top changes.
+reads every depth's verdict. It stops once the top budget is frozen, or
+once every lower budget and the unbounded relation repeat.
 
 A relation is a list of |u| Python ints, one row per position i of u,
 with bit j-1 set when (i, j) is in the relation; moves on both words are
-computed from these rows. Only two consecutive move levels are kept
-live; their cells, (|u|+1)(|v|+1) per relation, are checked against a
-cap before any relation is built, so blowup surfaces as an error rather
-than an approximation.
+computed from these rows. Before a level is built, the relations then
+held (its own, the level below and the letters), (|u|+1)(|v|+1) bits
+each, are checked against a cap, so blowup surfaces as an error.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def _key(d: int, budget: Optional[int], last: Optional[Side]) -> tuple:
     return (None, None) if budget is None or budget >= d else (budget, last)
 
 
-def _window(n: int, budget: int, d: int, frontier: int = 0) -> range:
+def _window(n: int, budget: int, d: int, frontier: int) -> range:
     """The budgets level d of the depth-n game keys on their own: B-k after k switches
     in the n-1-d moves above, below d (d or more cannot bind), not frozen below the frontier."""
     return range(max(frontier, 0, budget - (n - 1 - d)), min(budget, d - 1) + 1)
@@ -175,35 +175,31 @@ class _Solver:
             raise GameResourceError(needed, self.cap)
 
     def levels(self, n: int, budget: Optional[int], sides: list[Side]) -> Iterator[dict]:
-        """The relations of move levels 0..n-1 (d moves left), bottom-up, keyed as
-        the depth-n game reads them; the cap is checked before the first is built.
+        """The relations of move levels 0..n-1 (d moves left), bottom-up, keyed as the
+        depth-n game reads them; the cap is checked on what a level holds before it is built.
 
         A budget is frozen at level d when it and every lower budget equal themselves
         at level d-1: each is built from its own and the next lower budget one level
         down, so they repeat at every deeper level and are not built. The levels stop
-        once the top budget is frozen, or, where no budget binds, once one repeats.
+        once the top budget is frozen, or once every budget below d is and the collapsed
+        key repeats: for b >= d-1, M_d ⊆ R^b_d ⊆ R^b_{d-1} = M_{d-1}, so every budget of
+        d-1 or more, the top one too, is M_d from then on.
         """
         budget = n - 1 if budget is None else budget  # n-1 or more cannot bind
-
-        def size(d: int) -> int:  # level -1 holds the collapsed key alone
-            return len(sides) * len(_window(n, budget, d)) + (d <= budget)
-        # the window grows a budget a level up to min(B+1, n-1-B), holds, then shrinks, and
-        # the collapsed key goes past B: the largest pair of levels ends at B+1, B+2 or n-B
-        ends = (budget + 1, budget + 2, n - budget)
-        self._check_cap(max((size(d) + size(d - 1) for d in ends if 0 <= d < n), default=2) + 1)
         letter_masks: dict[str, int] = {}
         for j, ch in enumerate(self.v.text):
             letter_masks[ch] = letter_masks.get(ch, 0) | 1 << j
         letters = [letter_masks.get(ch, 0) for ch in self.u.text]
-        prev, frontier = None, 0
+        prev, frontier = {}, 0
         for d in range(n):
             keys = _keys(n, budget, sides, d, frontier - 1)  # frontier-1, frozen, is carried up
+            self._check_cap(len(keys) + len(prev) + 1)
             level = {key: letters if not d else prev[key] if key[0] == frontier - 1
                      else self._build(prev, d, *key) for key in keys}
             yield level
             frontier = next((b for b, s in keys if b is not None
                              and level[b, s] != prev[_key(d - 1, b, s)]), min(budget, d - 1) + 1)
-            if frontier > budget or budget >= n - 1 and level == prev:
+            if frontier > budget or 0 < frontier == d and level[None, None] == prev[None, None]:
                 return
             prev = level
 
@@ -240,7 +236,8 @@ class _Solver:
         from empty pebbles, or None; m >= 1. Up to depth m no budget binds, so
         level d of one unbounded pass holds the top relation of depth d+1. Each
         deeper game is solved, and its cap checked, on its own: a pass keyed for
-        `bound` would raise on that cap where a shallower depth answers."""
+        `bound` holds that game's wider window at every level, so it can need more
+        than a shallower game and raise where that game answers."""
         budget, sides, start, top = m - 1, list(Side), (0, 0, 0, 0), min(m, bound)
         for d, level in enumerate(self.levels(top, budget, sides)):
             if self._first_move(level, d, budget, sides, start):
@@ -254,7 +251,8 @@ class _Solver:
         relations of `level`, d moves left after it: sides in the order given,
         then as _first_unanswered orders the moves on one side."""
         for side in sides:
-            move = self._first_unanswered(level[_key(d, budget, side)], side, start)
+            rows = level.get(_key(d, budget, side), level.get((None, None)))
+            move = self._first_unanswered(rows, side, start)
             if move is not None:
                 return (side, *move)
         return None

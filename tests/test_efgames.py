@@ -287,18 +287,33 @@ def _needed(game, *args, **kwargs):
     return caught.value.needed
 
 
-def test_budget_that_cannot_bind_costs_the_unbounded_game():
+def _record_cap_checks(monkeypatch):
+    """Record the relation count of every _Solver._check_cap, one per level built."""
+    seen, check = [], _Solver._check_cap
+
+    def recorded(self, live_relations):
+        seen.append(live_relations)
+        return check(self, live_relations)
+
+    monkeypatch.setattr(_Solver, "_check_cap", recorded)
+    return seen
+
+
+def test_budget_that_cannot_bind_costs_the_unbounded_game(monkeypatch):
     # with n moves Samson changes sides at most n-1 times, so a game with
     # m >= n alternation blocks holds only the unbounded relations
     u, v = W("abbab"), W("baab")
+    counts = _record_cap_checks(monkeypatch)
     for successor in (False, True):
         for n in range(1, 7):
-            unbounded = _needed(game_equiv, u, v, n, with_successor=successor)
+            counts.clear()
+            game_equiv(u, v, n, with_successor=successor)
+            unbounded = list(counts)
             for m in range(n, n + 4):
                 for start_side in (None, Side.U, Side.V):
-                    got = _needed(game_equiv_alt, u, v, m, n, with_successor=successor,
-                                  start_side=start_side)
-                    assert got == unbounded, (successor, n, m, start_side)
+                    counts.clear()
+                    game_equiv_alt(u, v, m, n, with_successor=successor, start_side=start_side)
+                    assert counts == unbounded, (successor, n, m, start_side)
 
 
 @pytest.mark.parametrize("successor", [False, True], ids=["plain", "suc"])
@@ -399,24 +414,28 @@ def test_move_rules_match_the_transposed_relation(successor):
         assert _answered(rows, lv, successor, Side.V) == _transpose(swapped, lu), (rows, lv)
 
 
-def test_relation_keys_match_propagation():
-    # the window rule's keys, and so the live-relation count under the cap, are
-    # those the reference solver reaches by propagating down from the top level
+def test_relation_keys_match_propagation(monkeypatch):
+    # the window rule's keys are those the reference solver reaches by propagating
+    # down from the top level. The cap counts at most a level's keys, the level
+    # below and the letters, never more than the largest such sum over all levels
+    # that the cap counted before any build, so no game that completed then raises
     word = W("ab")
     solver = reference._Solver(word, word, False, DEFAULT_GAME_CAP)
+    counts = _record_cap_checks(monkeypatch)
     for n in range(16):
         for budget in [None, *range(n + 2)]:
             for sides in ([Side.U, Side.V], [Side.U], [Side.V]):
                 top = n - 1 if budget is None else budget
                 got = [set(_keys(n, top, sides, d)) for d in range(n)]
-                want = solver._levels_needed(n, budget, sides)
-                assert got == [{_key(d, *key) for key in keys} for d, keys in enumerate(want)], (
-                    n, budget, sides)
-                # the cap reads the live count off a few levels, not all n
-                live = max((len(got[d]) + (len(got[d - 1]) if d else 1) for d in range(n)), default=2)
-                with pytest.raises(GameResourceError) as caught:
-                    next(_Solver(word, word, False, 1).levels(n, budget, sides))
-                assert caught.value.needed == (live + 1) * 9, (n, budget, sides)
+                want = [{_key(d, *key) for key in keys}
+                        for d, keys in enumerate(solver._levels_needed(n, budget, sides))]
+                assert got == want, (n, budget, sides)
+                counts.clear()
+                for _ in _Solver(word, word, False, DEFAULT_GAME_CAP).levels(n, budget, sides):
+                    pass
+                held = [len(want[d]) + (len(want[d - 1]) if d else 0) + 1 for d in range(n)]
+                assert len(counts) <= n, (n, budget, sides)
+                assert all(c <= h for c, h in zip(counts, held)), (n, budget, sides, counts, held)
 
 
 def _count_builds(monkeypatch, limit, why):
@@ -540,25 +559,57 @@ def test_separation_depth_matches_the_per_depth_search():
                          "cap past m"}, seen
 
 
-def test_unbounded_game_keeps_the_reference_live_count():
-    # whatever n, an unbounded game keeps as many relations live under the
-    # cap as the reference solver keeps tables: its key rule, checked whole
+def test_unbounded_game_keeps_the_reference_live_count(monkeypatch):
+    # whatever n, an unbounded game holds at most as many relations under the
+    # cap as the reference solver keeps tables: its key rule, checked whole. At
+    # n = 1 the reference also counts a level below level 0, which holds nothing
     u, v = W("abbab"), W("baab")
+    counts = _record_cap_checks(monkeypatch)
     for successor in (False, True):
         for n in [*range(1, 12), 40]:
-            got = _needed(game_equiv, u, v, n, with_successor=successor)
+            counts.clear()
+            game_equiv(u, v, n, with_successor=successor)
             want = _needed(reference.game_equiv, u, v, n, with_successor=successor)
-            assert got // ((len(u) + 1) * (len(v) + 1)) == want // (
+            assert max(counts) + (n == 1) == want // (
                 (len(u) + 1) ** 2 * (len(v) + 1) ** 2), (successor, n)
 
 
 def test_cap_check_builds_no_relation(monkeypatch):
-    # the cap is read off a few levels' window sizes, so a deep budgeted game
-    # over the cap raises before any relation is built
-    built = _count_builds(monkeypatch, 0, "a relation was built before the cap check")
+    # the cap is checked on what a level holds before any of its relations is
+    # built, so a game over the cap at level d raises with level d's count
+    # having built nothing at level d
+    u, v = W("abab"), W("abba")
+    cells = (len(u) + 1) * (len(v) + 1)
+    counts = _record_cap_checks(monkeypatch)
+    built = _count_builds(monkeypatch, 99, "the budgeted game did not stop at its fixpoint")
     with pytest.raises(GameResourceError) as caught:
-        game_equiv_alt(W("abab"), W("abba"), 2000, 4002, cap=1)
-    assert caught.value.needed == 200_025 and built == []
+        game_equiv_alt(u, v, 2000, 4002, cap=1)
+    assert caught.value.needed == 2 * cells and built == []
+    counts.clear()
+    game_equiv_alt(u, v, 2000, 4002)
+    held = list(counts)
+    assert max(held) > 2
+    for d, count in enumerate(held):
+        if count > max(held[:d], default=0):
+            built.clear()
+            with pytest.raises(GameResourceError) as caught:
+                game_equiv_alt(u, v, 2000, 4002, cap=count * cells - 1)
+            assert caught.value.needed == count * cells, (d, count)
+            assert all(level < d for level, *_ in built), (d, built)
+
+
+@pytest.mark.parametrize("successor", [False, True], ids=["plain", "suc"])
+def test_budgeted_game_stops_once_no_budget_binds(successor, monkeypatch):
+    # once the budgets below level d are frozen and M_d = M_{d-1}, every budget
+    # of d-1 or more is M from then on, so a budget far above the fixpoint stops
+    # the game there, and the default cap holds the few relations it keeps
+    u, v = W("abab"), W("abba")
+    cases = [(m, n, game_equiv_alt(u, v, m, 10**9, successor).to_json_dict())
+             for m, n in ((40_000, 80_000), (100_000, 200_000))]
+    built = _count_builds(monkeypatch, 99, "the budgeted game did not stop at its fixpoint")
+    for m, n, want in cases:
+        built.clear()
+        assert game_equiv_alt(u, v, m, n, successor).to_json_dict() == want, (m, n)
 
 
 def test_negative_cap_is_a_usage_error():
