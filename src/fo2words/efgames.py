@@ -56,8 +56,8 @@ class Side(Enum):
 
 @dataclass(frozen=True)
 class GameConfig:
-    """A game position: two words and paired pebbles. `depth_left`, `switch_budget`
-    and `last_side` are read by nothing; the game functions take them as arguments."""
+    """A game position: two words and paired pebbles; depth, budget and side
+    are arguments of the game functions."""
 
     u: Word
     v: Word
@@ -65,9 +65,6 @@ class GameConfig:
     y_u: Optional[int] = None
     x_v: Optional[int] = None
     y_v: Optional[int] = None
-    depth_left: int = 0
-    switch_budget: Optional[int] = None  # None = unbounded
-    last_side: Optional[Side] = None
     with_successor: bool = False
 
 

@@ -10,11 +10,12 @@ alternation variants, at most m direction blocks):
 
 One breadth-first walk over both words at once (`rankers._walk`) finds the
 least ranker defined on one word only, which fails (a), or else keeps the
-least ranker of each state: its positions on u and v, and, with an
-alternation bound, its blocks and last direction (with successor, its
-length too). (b) and (c) read a ranker only through its
-state and its length, and the least ranker of a state is also its
-shortest, so the witnesses are those of a check over every ranker.
+least ranker of each state: its positions on u and v and, with an
+alternation bound, its blocks and last direction. With successor, states
+are kept per window width, which stops at max(|u|, |v|), so both walks end
+at their first depth with no new state. (b) and (c) read a ranker through
+its state and length only, and a state's least ranker is its shortest, so
+the witnesses are those of a check over every ranker.
 
 Conditions (b) and (c) compare every row ranker with a set of column rankers
 through the comparison the signature sees: `order_type`, or with successor

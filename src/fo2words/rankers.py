@@ -286,14 +286,14 @@ def _walk(u: Word, v: Word, n: int, alt_bound: int | None, successor: bool, cap:
     the rankers realized on the word), else one per state.
 
     A state is a ranker's positions on u and on v and, with an alternation
-    bound, its blocks and whether its last step goes right; with successor,
-    its length too, since the window cap grows with it. Without successor a
-    shallower visit of a state reaches all that a deeper one does, so a
-    state is visited once and the walk ends at the first depth with no new
-    state, however large n is. Only rankers defined on
-    both words are extended, each depth in order by the candidate steps in
-    order, so rankers come out in `sort_key` order and each state keeps its
-    least ranker.
+    bound, its blocks and whether its last step goes right. With successor,
+    step `depth` reads windows of min(depth - 1, max(|u|, |v|)) letters a
+    side (wider ones occur in neither word), and states are kept per width.
+    While the width holds, a shallower visit of a state reaches all that a
+    deeper one does, so the walk ends at the first depth with no new state,
+    however large n is. Only rankers defined on both words are extended,
+    each depth in order by the candidate steps in order, so rankers come
+    out in `sort_key` order and each state keeps its least ranker.
 
     Returns the kept rankers, their positions on u and on v and their
     blocks, and the least ranker defined on one word only with its
@@ -303,15 +303,16 @@ def _walk(u: Word, v: Word, n: int, alt_bound: int | None, successor: bool, cap:
     """
     make = SucRanker if successor else Ranker
     tu, tv = u.text, v.text
+    widest, width = max(len(tu), len(tv)), None
     rankers, pos_u, pos_v, blocks = [], [], [], []
     # (steps, position on u, position on v, direction blocks, last step goes right)
     frontier: list[tuple] = [((), None, None, 0, None)]
     for depth in range(1, n + 1):
         if not frontier:
             break
-        if depth == 1 or successor:
-            candidates = _steps((tu, tv), depth - 1 if successor else 0)
-            seen = set()  # with successor, each length has its own states
+        if width != (width := min(depth - 1, widest) if successor else 0):
+            candidates = _steps((tu, tv), width)
+            seen = set()  # each window width has its own states
         next_frontier = []
         for steps, x, y, b0, last in frontier:
             for step, right, window, k, ell in candidates:
