@@ -12,10 +12,13 @@ One breadth-first walk over both words at once (`rankers._walk`) finds the
 least ranker defined on one word only, which fails (a), or else keeps the
 least ranker of each state: its positions on u and v and, with an
 alternation bound, its blocks and last direction. With successor, states
-are kept per window width, which stops at max(|u|, |v|), so both walks end
-at their first depth with no new state. (b) and (c) read a ranker through
-its state and length only, and a state's least ranker is its shortest, so
-the witnesses are those of a check over every ranker.
+are kept per window width, which stops at max(|u|, |v|) - 1, so both walks
+end at their first depth with no new state. Where u and v are one text, one
+lookup per step serves both words. The walk keeps each ranker as its tuple
+of steps, and a `Ranker` or `SucRanker` is built only for a reported
+witness. (b) and (c) read a ranker through its state and length only, and
+a state's least ranker is its shortest, so the witnesses are those of a
+check over every ranker.
 
 Conditions (b) and (c) compare every row ranker with a set of column rankers
 through the comparison the signature sees: `order_type`, or with successor
@@ -36,7 +39,7 @@ from typing import Callable, Optional
 
 from . import rankers
 from .errors import AlphabetMismatchError
-from .rankers import AnyRanker, Direction, _walk, render_ranker
+from .rankers import AnyRanker, Direction, Ranker, SucRanker, _walk, render_ranker
 from .words import Word, order_type, suc_order_type
 
 
@@ -104,13 +107,6 @@ class _Columns:
             unmatched += -1 if jv in seen_u else 1
             self.same_set.append(unmatched == 0)
 
-    def agree(self, x: int, y: int, cuts: tuple[int, ...]) -> bool:
-        for c in cuts:
-            s = bisect_left(self.sorted_u, x + c)
-            if s != bisect_left(self.sorted_v, y + c) or not self.same_set[s]:
-                return False
-        return True
-
 
 def _first_bad(
     columns_of: Callable[[int], _Columns], pos_u: list[int], pos_v: list[int], successor: bool
@@ -121,8 +117,10 @@ def _first_bad(
     cmp = suc_order_type if successor else order_type
     for i, (x, y) in enumerate(zip(pos_u, pos_v)):
         columns = columns_of(i)
-        if not columns.agree(x, y, cuts):
-            return i, next(j for j in columns.cols if cmp(x, pos_u[j]) != cmp(y, pos_v[j]))
+        for c in cuts:
+            s = bisect_left(columns.sorted_u, x + c)
+            if s != bisect_left(columns.sorted_v, y + c) or not columns.same_set[s]:
+                return i, next(j for j in columns.cols if cmp(x, pos_u[j]) != cmp(y, pos_v[j]))
     return None
 
 
@@ -140,10 +138,11 @@ def _structure_check(u: Word, v: Word, n: int, m: Optional[int], successor: bool
         entry = WitnessEntry(*one_sided)
         return EquivReport(False, FailedCondition.DEFINEDNESS, (entry,), n, m, successor)
 
-    shorter = [j for j, r in enumerate(common) if len(r) <= n - 1]
+    shorter = [j for j, steps in enumerate(common) if len(steps) <= n - 1]
 
     def report(condition: FailedCondition, hit: tuple[int, int]) -> EquivReport:
-        entries = tuple(WitnessEntry(common[k], pos_u[k], pos_v[k]) for k in hit)
+        make = SucRanker if successor else Ranker
+        entries = tuple(WitnessEntry(make(common[k]), pos_u[k], pos_v[k]) for k in hit)
         return EquivReport(False, condition, entries, n, m, successor)
 
     # (b): rankers vs strictly shorter (and, in alternation mode, strictly
@@ -157,7 +156,7 @@ def _structure_check(u: Word, v: Word, n: int, m: Optional[int], successor: bool
     # (c): only in alternation mode; shorter rankers ending with the
     # opposite direction
     if m is not None:
-        ends_right = [r.last_direction is Direction.RIGHT for r in common]
+        ends_right = [steps[-1].direction is Direction.RIGHT for steps in common]
         right = _Columns([j for j in shorter if ends_right[j]], pos_u, pos_v)
         left = _Columns([j for j in shorter if not ends_right[j]], pos_u, pos_v)
         hit = _first_bad(lambda i: left if ends_right[i] else right, pos_u, pos_v, successor)

@@ -231,15 +231,19 @@ def _steps(texts: tuple[str, ...], width: int) -> list[tuple]:
     (step, whether it goes right, window, before width, after width).
 
     A window that occurs in none of the texts is undefined everywhere on
-    them, so harvesting from the words loses nothing.
+    them, so harvesting from the words loses nothing. A window is a
+    substring of the texts split into `before`, `letter` and `after`.
     """
-    windows = sorted({
-        (text[i - k : i], text[i], text[i + 1 : i + 1 + ell])
-        for text in texts
+    found = [
+        {text[i : i + size] for text in texts for i in range(len(text) - size + 1)}
+        for size in range(1, 2 * width + 2)
+    ]
+    windows = sorted(
+        (s[:k], s[k], s[k + 1 :])
         for k in range(width + 1)
         for ell in range(width + 1)
-        for i in range(k, len(text) - ell)
-    })
+        for s in found[k + ell]
+    )
     return [
         (BoundaryPos(direction, letter, before, after), direction is Direction.RIGHT,
          before + letter + after, len(before), len(after))
@@ -255,8 +259,9 @@ def _realize(w: Word, n: int, alt_bound: int | None, cap: int, successor: bool) 
         raise ValueError("alt_bound must be >= 1 when given")
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
-    rankers, positions = _walk(w, w, n, alt_bound, successor, cap, every=True)[:2]
-    return RealizedSet(w, dict(zip(rankers, positions)))
+    kept, positions = _walk(w, w, n, alt_bound, successor, cap, every=True)[:2]
+    make = SucRanker if successor else Ranker
+    return RealizedSet(w, {make(steps): p for steps, p in zip(kept, positions)})
 
 
 def realized_rankers(
@@ -287,24 +292,28 @@ def _walk(u: Word, v: Word, n: int, alt_bound: int | None, successor: bool, cap:
 
     A state is a ranker's positions on u and on v and, with an alternation
     bound, its blocks and whether its last step goes right. With successor,
-    step `depth` reads windows of min(depth - 1, max(|u|, |v|)) letters a
-    side (wider ones occur in neither word), and states are kept per width.
+    step `depth` reads windows of min(depth - 1, max(|u|, |v|) - 1) letters
+    a side (wider ones fit in neither word), and states are kept per width.
     While the width holds, a shallower visit of a state reaches all that a
     deeper one does, so the walk ends at the first depth with no new state,
     however large n is. Only rankers defined on both words are extended,
     each depth in order by the candidate steps in order, so rankers come
-    out in `sort_key` order and each state keeps its least ranker.
+    out in `sort_key` order and each state keeps its least ranker. Where u
+    and v are one text and a ranker sits at one position on both, one
+    lookup serves both words.
 
-    Returns the kept rankers, their positions on u and on v and their
-    blocks, and the least ranker defined on one word only with its
-    positions, if any (the lists then stop short). More than `cap` kept
-    rankers raise `EnumerationCapError`; on states, that trips only where
-    enumerating either word's rankers would.
+    Returns the kept rankers as tuples of steps, their positions on u and
+    on v and their blocks, and the least ranker defined on one word only,
+    as a `Ranker` or `SucRanker`, with its positions, if any (the lists then
+    stop short). More than `cap` kept rankers raise `EnumerationCapError`;
+    on states, that trips only where enumerating either word's rankers
+    would.
     """
     make = SucRanker if successor else Ranker
     tu, tv = u.text, v.text
-    widest, width = max(len(tu), len(tv)), None
-    rankers, pos_u, pos_v, blocks = [], [], [], []
+    same = tu == tv
+    widest, width = max(len(tu), len(tv), 1) - 1, None
+    kept, pos_u, pos_v, blocks = [], [], [], []
     # (steps, position on u, position on v, direction blocks, last step goes right)
     frontier: list[tuple] = [((), None, None, 0, None)]
     for depth in range(1, n + 1):
@@ -315,31 +324,32 @@ def _walk(u: Word, v: Word, n: int, alt_bound: int | None, successor: bool, cap:
             seen = set()  # each window width has its own states
         next_frontier = []
         for steps, x, y, b0, last in frontier:
+            shared = same and x == y
             for step, right, window, k, ell in candidates:
                 b = b0 + (right is not last)
                 if alt_bound is not None and b > alt_bound:
                     continue
                 x2 = _match(tu, right, window, k, ell, x)
-                y2 = _match(tv, right, window, k, ell, y)
+                y2 = x2 if shared else _match(tv, right, window, k, ell, y)
                 if x2 is None and y2 is None:
                     continue
-                new_steps = steps + (step,)
                 if x2 is None or y2 is None:
-                    return rankers, pos_u, pos_v, blocks, (make(new_steps), x2, y2)
+                    return kept, pos_u, pos_v, blocks, (make(steps + (step,)), x2, y2)
                 if not every:
                     state = (x2, y2) if alt_bound is None else (x2, y2, b, right)
                     if state in seen:
                         continue
                     seen.add(state)
-                rankers.append(make(new_steps))
-                if len(rankers) > cap:
+                new_steps = steps + (step,)
+                kept.append(new_steps)
+                if len(kept) > cap:
                     raise EnumerationCapError(cap, len(u))
                 pos_u.append(x2)
                 pos_v.append(y2)
                 blocks.append(b)
                 next_frontier.append((new_steps, x2, y2, b, right))
         frontier = next_frontier
-    return rankers, pos_u, pos_v, blocks, None
+    return kept, pos_u, pos_v, blocks, None
 
 
 def parse_ranker(text: str, alphabet: Alphabet | None = None) -> Ranker:

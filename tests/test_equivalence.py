@@ -287,7 +287,8 @@ def test_reports_match_pairwise_reference():
 def test_successor_states_keep_their_length():
     # the same positions reached by a longer ranker allow wider windows on
     # the next step, so each window width of a successor walk has its own
-    # states; the width grows with the depth up to the longer word's length
+    # states; the width grows with the depth up to one less than the longer
+    # word's length
     u, v = W("abbbbb"), W("abbbb")
     report = suc_ranker_equiv(u, v, 3)
     assert report.to_json_dict() == _reference_report(u, v, 3, None, True)
@@ -332,7 +333,7 @@ def test_successor_game_separates_runs_as_a_depth_2_sentence_does():
 def test_unbounded_successor_walk_keeps_one_ranker_per_position_pair(monkeypatch, w):
     # with no alternation bound, blocks and last direction enter no
     # condition, so a word against itself keeps at most |w| rankers per
-    # window width, and the walk ends once the width stops growing at |w|
+    # window width, and the walk ends once the width stops growing at |w| - 1
     from fo2words import rankers
 
     monkeypatch.setattr(rankers, "DEFAULT_ENUMERATION_CAP", 2_000)
@@ -368,6 +369,58 @@ def test_walk_over_its_cap_raises(monkeypatch):
             check()
 
 
+@pytest.mark.parametrize("w", ["abab", "aabba", "babbaab"])
+def test_walk_of_one_text_makes_one_lookup_per_step(monkeypatch, w):
+    # a word walked against itself sits at one position on both copies, so
+    # each step's lookup serves both
+    from fo2words import rankers
+
+    match, calls = rankers._match, []
+
+    def recorded(*args):
+        calls.append(args)
+        return match(*args)
+
+    monkeypatch.setattr(rankers, "_match", recorded)
+    realized_rankers(W(w), 3)
+    realized_suc_rankers(W(w), 3)
+    assert suc_ranker_equiv(W(w), W(w), 3).verdict is True
+    assert calls
+    assert all(a != b for a, b in zip(calls, calls[1:]))
+
+
+_U60 = "aaaaabbaaabaaaaabaaabbaababaaabbababaabaabbbabbbaaababaaaabb"
+
+
+@pytest.mark.parametrize(
+    "decide, fails_b",
+    [
+        (lambda u, v: ranker_equiv(u, v, 3), _U60 + "b"),
+        (lambda u, v: ranker_equiv_alt(u, v, 2, 3), _U60 + "b"),
+        (lambda u, v: suc_ranker_equiv(u, v, 3), "a" + _U60),
+    ],
+    ids=["plain", "plain-alt", "successor"],
+)
+def test_deciders_build_only_the_rankers_they_report(monkeypatch, decide, fails_b):
+    # the walk keeps step tuples; a Ranker or SucRanker is built only for a
+    # reported witness
+    from fo2words import rankers
+
+    post_init, built = rankers.Ranker.__post_init__, [0]
+
+    def counted(self):
+        built[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(rankers.Ranker, "__post_init__", counted)
+    u = W(_U60)
+    for v in (shrink(u, 3), W(fails_b)):
+        built[0] = 0
+        report = decide(u, v)
+        assert built[0] <= len(report.witnesses)
+    assert report.failed_condition is FailedCondition.ORDER
+
+
 _SUCCESSOR_STOPS = [("abab", "abab"), ("abab", "abba"), ("aabab", "aabab"), ("aaaa", "aaaaa")]
 
 
@@ -387,7 +440,7 @@ _SUCCESSOR_STOPS = [("abab", "abab"), ("abab", "abba"), ("aabab", "aabab"), ("aa
 def test_walk_stops_when_no_state_is_new(monkeypatch, u, v, successor, m):
     # a walk has finitely many states: pairs of positions (with an
     # alternation bound, also blocks and last direction) for each window
-    # width, and the width stops growing at max(|u|, |v|). So its report
+    # width, and the width stops growing at max(|u|, |v|) - 1. So its report
     # at a huge n is read off the same walk as at a small one. The call
     # counter stops a walk whose states keep growing, the alarm one that
     # steps through every empty depth.
