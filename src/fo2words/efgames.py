@@ -28,8 +28,8 @@ once every lower budget and the unbounded relation repeat.
 A relation is a list of |u| Python ints, one row per position i of u,
 with bit j-1 set when (i, j) is in the relation; moves on both words are
 computed from these rows. Before a level is built, the relations then
-held (its own, the level below and the letters), (|u|+1)(|v|+1) bits
-each, are checked against a cap, so blowup surfaces as an error.
+held (its own and the level below; the letters are level 0), (|u|+1)(|v|+1)
+bits each, are checked against a cap, so blowup surfaces as an error.
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ class _Solver:
 
     def levels(self, n: int, budget: Optional[int], sides: list[Side]) -> Iterator[dict]:
         """The relations of move levels 0..n-1 (d moves left), bottom-up, keyed as the
-        depth-n game reads them; the cap is checked on what a level holds before it is built.
+        depth-n game reads them; the cap counts a level and the level below before it is built.
 
         A budget is frozen at level d when it and every lower budget equal themselves
         at level d-1: each is built from its own and the next lower budget one level
@@ -183,22 +183,25 @@ class _Solver:
         d-1 or more, the top one too, is M_d from then on.
         """
         budget = n - 1 if budget is None else budget  # n-1 or more cannot bind
-        letter_masks: dict[str, int] = {}
-        for j, ch in enumerate(self.v.text):
-            letter_masks[ch] = letter_masks.get(ch, 0) | 1 << j
-        letters = [letter_masks.get(ch, 0) for ch in self.u.text]
         prev, frontier = {}, 0
         for d in range(n):
             keys = _keys(n, budget, sides, d, frontier - 1)  # frontier-1, frozen, is carried up
-            self._check_cap(len(keys) + len(prev) + 1)
-            level = {key: letters if not d else prev[key] if key[0] == frontier - 1
-                     else self._build(prev, d, *key) for key in keys}
+            self._check_cap(len(keys) + len(prev))
+            level = {key: prev[key] if key[0] == frontier - 1 else self._build(prev, d, *key)
+                     for key in keys} if d else dict.fromkeys(keys, self._letters())
             yield level
             frontier = next((b for b, s in keys if b is not None
                              and level[b, s] != prev[_key(d - 1, b, s)]), min(budget, d - 1) + 1)
             if frontier > budget or 0 < frontier == d and level[None, None] == prev[None, None]:
                 return
             prev = level
+
+    def _letters(self) -> list[int]:
+        """M_0, letter equality."""
+        masks: dict[str, int] = {}
+        for j, ch in enumerate(self.v.text):
+            masks[ch] = masks.get(ch, 0) | 1 << j
+        return [masks.get(ch, 0) for ch in self.u.text]
 
     def _build(self, prev: dict, d: int, budget: Optional[int], last: Optional[Side]) -> list[int]:
         rows = [-1] * self.lu
@@ -228,19 +231,13 @@ class _Solver:
         move = self._first_move(level, n - 1, budget, sides, start)
         return GameVerdict(move is None, move)
 
-    def separation_depth(self, m: int, bound: int) -> Optional[int]:
-        """The least depth <= bound at which Samson wins the m-alternation game
-        from empty pebbles, or None; m >= 1. Up to depth m no budget binds, so
-        level d of one unbounded pass holds the top relation of depth d+1. Each
-        deeper game is solved, and its cap checked, on its own: a pass keyed for
-        `bound` holds that game's wider window at every level, so it can need more
-        than a shallower game and raise where that game answers."""
-        budget, sides, start, top = m - 1, list(Side), (0, 0, 0, 0), min(m, bound)
-        for d, level in enumerate(self.levels(top, budget, sides)):
-            if self._first_move(level, d, budget, sides, start):
-                return d + 1
-        return next((depth for depth in range(top + 1, bound + 1)
-                     if not self.solve(depth, budget, start, None).delilah_wins), None)
+    def separation_depth(self, m: int) -> Optional[int]:
+        """The least depth <= m at which Samson wins the m-alternation game from
+        empty pebbles, or None; m >= 1. With d <= m moves Samson switches sides at
+        most m-1 times, so level d-1 of one unbounded pass is the depth-d game."""
+        sides = list(Side)
+        return next((d + 1 for d, level in enumerate(self.levels(m, None, sides))
+                     if self._first_move(level, d, None, sides, (0, 0, 0, 0))), None)
 
     def _first_move(self, level: dict, d: int, budget: Optional[int], sides: list[Side],
                     start: tuple[int, int, int, int]) -> Optional[tuple[Side, str, int]]:

@@ -4,9 +4,10 @@ Each decider checks, over the rankers of length at most n (and, in the
 alternation variants, at most m direction blocks):
 
   (a) the same rankers are defined on both words,
-  (b) rankers agree with shorter rankers on their relative order,
-  (c) (alternation variants) rankers agree with equally-deep rankers that
-      end in the opposite direction.
+  (b) rankers agree on their relative order with the rankers of length at
+      most n-1, of at most m-1 blocks in the alternation variants,
+  (c) (alternation variants) rankers agree likewise with the rankers of
+      length at most n-1 that end in the opposite direction.
 
 One breadth-first walk over both words at once (`rankers._walk`) finds the
 least ranker defined on one word only, which fails (a), or else keeps the

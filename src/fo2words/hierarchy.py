@@ -124,8 +124,8 @@ class HierarchyReport:
 
     Indistinguishability holds at (m-1, n); separation is confirmed by the
     separating rankers' order flip and by a spoiler win at (m, n') for the
-    smallest n' found within the search bound. Level 1 separates by a
-    sentence instead of a ranker pair.
+    smallest n' <= m, the search bound. Level 1 separates by a sentence
+    instead of a ranker pair.
     """
 
     m: int
@@ -180,11 +180,11 @@ def verify_hierarchy_level(
 ) -> HierarchyReport:
     """Check indistinguishability at m-1 alternations and separation at m.
 
-    The separation depth is the least depth up to n+m at which Samson wins
-    the m-alternation game; the depths up to m are read from one bottom-up
-    pass. The ranker flip guarantees a spoiler win at some depth, but the
-    witness words at parameter n may need a few extra moves beyond the
-    ranker length.
+    The separation depth is the least depth up to m at which Samson wins the
+    m-alternation game, read from one bottom-up pass. No deeper search is
+    needed: the separating rankers have m-1 steps, so when their order flips,
+    placing x on r's position and comparing it with s is a depth-m sentence
+    true of u and false of v, and Samson wins by depth m.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
@@ -207,7 +207,6 @@ def verify_hierarchy_level(
     ranker_separation: Optional[bool] = None
     separation_depth: Optional[int] = None
     sentence_separation: Optional[bool] = None
-    bound = n + m
     if m >= 2:
         rankers = separating_rankers(m, signature)
         ru, su = eval_ranker(rankers.r, u), eval_ranker(rankers.s, u)
@@ -218,7 +217,7 @@ def verify_hierarchy_level(
             ranker_separation = ord_u != ord_v
         else:
             ranker_separation = False
-        separation_depth = _Solver(u, v, successor, cap).separation_depth(m, bound)
+        separation_depth = _Solver(u, v, successor, cap).separation_depth(m)
     else:
         # Level 1: a sentence tells the words apart. Without successor the
         # witness v is empty, so pure existence separates; with successor
@@ -241,6 +240,6 @@ def verify_hierarchy_level(
         ord_v=ord_v,
         ranker_separation=ranker_separation,
         separation_depth=separation_depth,
-        separation_search_bound=bound,
+        separation_search_bound=m,
         sentence_separation=sentence_separation,
     )

@@ -198,7 +198,7 @@ def test_resource_cap_exit_code(capsys):
 
 def test_verify_hierarchy_over_game_cap_exits_2(capsys):
     # the level's game is far over the cell cap; it must fail fast and cleanly
-    code, out, err = run(capsys, "verify-hierarchy", "-m", "5", "-n", "5", "--suc")
+    code, out, err = run(capsys, "verify-hierarchy", "-m", "6", "-n", "6", "--suc")
     assert code == 2
     assert "error[resource-cap]" in err
     assert "Traceback" not in err and out == ""

@@ -17,6 +17,7 @@ from fo2words import (
     model_check,
     partial_iso,
     ranker_equiv,
+    witness_words_suc,
 )
 from fo2words.efgames import DEFAULT_GAME_CAP, _answered, _key, _keys, _Solver
 import game_reference as reference
@@ -416,9 +417,9 @@ def test_move_rules_match_the_transposed_relation(successor):
 
 def test_relation_keys_match_propagation(monkeypatch):
     # the window rule's keys are those the reference solver reaches by propagating
-    # down from the top level. The cap counts at most a level's keys, the level
-    # below and the letters, never more than the largest such sum over all levels
-    # that the cap counted before any build, so no game that completed then raises
+    # down from the top level. The cap counts at most a level's keys and the
+    # level below, never more than it counted when it took the largest such sum
+    # before any build, so no game that completed then raises
     word = W("ab")
     solver = reference._Solver(word, word, False, DEFAULT_GAME_CAP)
     counts = _record_cap_checks(monkeypatch)
@@ -433,7 +434,7 @@ def test_relation_keys_match_propagation(monkeypatch):
                 counts.clear()
                 for _ in _Solver(word, word, False, DEFAULT_GAME_CAP).levels(n, budget, sides):
                     pass
-                held = [len(want[d]) + (len(want[d - 1]) if d else 0) + 1 for d in range(n)]
+                held = [len(want[d]) + (len(want[d - 1]) if d else 0) for d in range(n)]
                 assert len(counts) <= n, (n, budget, sides)
                 assert all(c <= h for c, h in zip(counts, held)), (n, budget, sides, counts, held)
 
@@ -531,8 +532,8 @@ def _outcome(search, *args):
 
 
 def test_separation_depth_matches_the_per_depth_search():
-    # one bottom-up pass up to depth m, then a game per depth, against a fresh
-    # game per depth from depth 1: the same depth, or the same cap error
+    # one bottom-up pass up to depth m against a fresh game per depth from
+    # depth 1: the same depth, or the same cap error
     rng = random.Random(16)
     seen = Counter()
     for _ in range(2_000):
@@ -544,25 +545,25 @@ def test_separation_depth_matches_the_per_depth_search():
             v = u[:cut] + u[cut] * rng.randint(1, 2) + u[cut:]
         u, v = W(u, alphabet), W(v, alphabet)
         m, successor = rng.randint(1, 4), rng.random() < 0.5
-        bound = rng.randint(1, m + 4)
         cells = (len(u) + 1) * (len(v) + 1)
-        cap = rng.choice([DEFAULT_GAME_CAP, cells * rng.randint(2, 12)])
-        want = _outcome(_first_lost_depth, u, v, m, bound, successor, cap)
-        got = _outcome(lambda: _Solver(u, v, successor, cap).separation_depth(m, bound))
-        assert got == want, (u, v, m, bound, successor, cap)
-        if isinstance(want, tuple):  # an unbounded game keeps 3 relations live
-            kind = "cap at depth <= m" if want[1] == 3 * cells else "cap past m"
+        # a pass holds at most 2 relations, so only caps below 2 cells can raise
+        cap = rng.choice([DEFAULT_GAME_CAP, rng.randrange(2 * cells), cells * rng.randint(2, 12)])
+        want = _outcome(_first_lost_depth, u, v, m, m, successor, cap)
+        got = _outcome(lambda: _Solver(u, v, successor, cap).separation_depth(m))
+        assert got == want, (u, v, m, successor, cap)
+        if isinstance(want, tuple):
+            kind = "cap at level 0" if want[1] == cells else "cap at level 1"
         else:
-            kind = "none" if want is None else "depth <= m" if want <= m else "depth past m"
+            kind = "none" if want is None else "depth"
         seen[kind] += 1
-    assert set(seen) == {"depth <= m", "depth past m", "none", "cap at depth <= m",
-                         "cap past m"}, seen
+    assert set(seen) == {"depth", "none", "cap at level 0", "cap at level 1"}, seen
 
 
 def test_unbounded_game_keeps_the_reference_live_count(monkeypatch):
-    # whatever n, an unbounded game holds at most as many relations under the
-    # cap as the reference solver keeps tables: its key rule, checked whole. At
-    # n = 1 the reference also counts a level below level 0, which holds nothing
+    # whatever n, an unbounded game holds one relation fewer under the cap than
+    # the reference solver keeps tables, which include its partial-isomorphism
+    # table: its key rule, checked whole. At n = 1 the reference also counts a
+    # level below level 0, which holds nothing
     u, v = W("abbab"), W("baab")
     counts = _record_cap_checks(monkeypatch)
     for successor in (False, True):
@@ -570,7 +571,7 @@ def test_unbounded_game_keeps_the_reference_live_count(monkeypatch):
             counts.clear()
             game_equiv(u, v, n, with_successor=successor)
             want = _needed(reference.game_equiv, u, v, n, with_successor=successor)
-            assert max(counts) + (n == 1) == want // (
+            assert max(counts) + 1 + (n == 1) == want // (
                 (len(u) + 1) ** 2 * (len(v) + 1) ** 2), (successor, n)
 
 
@@ -584,7 +585,7 @@ def test_cap_check_builds_no_relation(monkeypatch):
     built = _count_builds(monkeypatch, 99, "the budgeted game did not stop at its fixpoint")
     with pytest.raises(GameResourceError) as caught:
         game_equiv_alt(u, v, 2000, 4002, cap=1)
-    assert caught.value.needed == 2 * cells and built == []
+    assert caught.value.needed == cells and built == []
     counts.clear()
     game_equiv_alt(u, v, 2000, 4002)
     held = list(counts)
@@ -610,6 +611,15 @@ def test_budgeted_game_stops_once_no_budget_binds(successor, monkeypatch):
     for m, n, want in cases:
         built.clear()
         assert game_equiv_alt(u, v, m, n, successor).to_json_dict() == want, (m, n)
+
+
+def test_successor_level_five_games_run_under_default_cap():
+    # the cap counts a level and the level below: two of the successor (5,5)
+    # witnesses' relations fit it, where a third for the letters did not
+    pair = witness_words_suc(5, 5)
+    u, v = pair.u, pair.v
+    assert game_equiv_alt(u, v, 4, 5, with_successor=True).delilah_wins
+    assert _Solver(u, v, True, DEFAULT_GAME_CAP).separation_depth(5) == 5
 
 
 def test_negative_cap_is_a_usage_error():

@@ -182,14 +182,18 @@ def test_levels_nine_to_eleven_under_the_default_game_cap():
 
 
 def test_separation_depth_matches_the_per_depth_search():
-    # one bottom-up pass reads every depth that a fresh game per depth decides
-    for m in range(2, 7):
-        for n in range(1, 7):
-            report = verify_hierarchy_level(m, n)
-            u, v = report.pair.u, report.pair.v
-            want = next((depth for depth in range(1, n + m + 1)
-                         if not game_equiv_alt(u, v, m, depth).delilah_wins), None)
-            assert report.separation_depth == want, (m, n)
+    # one bottom-up pass up to depth m reads the depth that a fresh game per
+    # depth up to n+m finds: no witness is first separated past depth m
+    levels = [(m, n, Signature.ORDER) for m in range(2, 7) for n in range(1, 7)]
+    levels += [(m, n, Signature.ORDER_SUC) for m in range(2, 5) for n in range(1, 5)]
+    for m, n, signature in levels:
+        report = verify_hierarchy_level(m, n, signature)
+        u, v = report.pair.u, report.pair.v
+        successor = signature is Signature.ORDER_SUC
+        want = next((depth for depth in range(1, n + m + 1)
+                     if not game_equiv_alt(u, v, m, depth, successor).delilah_wins), None)
+        assert report.separation_depth == want, (m, n, signature)
+        assert report.separation_search_bound == m
 
 
 def test_level_four_by_rankers():
