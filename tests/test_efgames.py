@@ -417,9 +417,8 @@ def test_move_rules_match_the_transposed_relation(successor):
 
 def test_relation_keys_match_propagation(monkeypatch):
     # the window rule's keys are those the reference solver reaches by propagating
-    # down from the top level. The cap counts at most a level's keys and the
-    # level below, never more than it counted when it took the largest such sum
-    # before any build, so no game that completed then raises
+    # down from the top level. The cap counts at most what a level holds: its
+    # keys and the level below
     word = W("ab")
     solver = reference._Solver(word, word, False, DEFAULT_GAME_CAP)
     counts = _record_cap_checks(monkeypatch)
