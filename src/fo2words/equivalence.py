@@ -14,9 +14,12 @@ least ranker defined on one word only, which fails (a), or else keeps the
 least ranker of each state: its positions on u and v and, with an
 alternation bound, its blocks and last direction. With successor, states
 are kept per window width, which stops at max(|u|, |v|) - 1, so both walks
-end at their first depth with no new state. Where u and v are one text, one
-lookup per step serves both words. The walk keeps each ranker as its tuple
-of steps, and a `Ranker` or `SucRanker` is built only for a reported
+end at their first depth with no new state. A plain step is one lookup in
+a next-occurrence table of each word. Where u and v are one text, one
+lookup per step serves both words, and once the walk finds no one-sided
+ranker the verdict is true: every ranker sits at one position on both
+words, so (b) and (c) are not checked. The walk keeps each ranker as its
+tuple of steps, and a `Ranker` or `SucRanker` is built only for a reported
 witness. (b) and (c) read a ranker through its state and length only, and
 a state's least ranker is its shortest, so the witnesses are those of a
 check over every ranker.
@@ -138,6 +141,8 @@ def _structure_check(u: Word, v: Word, n: int, m: Optional[int], successor: bool
     if one_sided is not None:
         entry = WitnessEntry(*one_sided)
         return EquivReport(False, FailedCondition.DEFINEDNESS, (entry,), n, m, successor)
+    if u.text == v.text:  # every ranker sits at one position on both words
+        return EquivReport(True, FailedCondition.NONE, (), n, m, successor)
 
     shorter = [j for j, steps in enumerate(common) if len(steps) <= n - 1]
 

@@ -9,13 +9,16 @@ A plain ranker is a successor ranker whose windows are all empty, so one step
 type and one evaluator serve both signatures. One breadth-first walk over two
 words at once serves both too: over a word and itself it enumerates the
 rankers realized on it, and over two words it finds the rankers that their
-equivalence check compares.
+equivalence check compares. The walk reads a plain step from a
+next-occurrence table of each word (the subsequence automaton), one list
+lookup per step, and searches the word only for a step with a window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Iterator, Mapping
 
 from .errors import EnumerationCapError
@@ -134,21 +137,40 @@ def alternation_blocks(r: Ranker) -> int:
 def eval_boundary(p: BoundaryPos, w: Word, start: int | None = None) -> int | None:
     """Position of the first/last window match on w, strictly beyond `start`
     when given; None when absent."""
-    window = p.before + p.letter + p.after
     right = p.direction is Direction.RIGHT
-    return _match(w.text, right, window, len(p.before), len(p.after), start)
+    if start is None:
+        start = 0 if right else len(w.text) + 1
+    elif start < 1 and not right:
+        return None
+    return _match(w.text, right, p.before + p.letter + p.after, len(p.before), len(p.after), start)
 
 
-def _match(
-    text: str, right: bool, window: str, k: int, ell: int, start: int | None
-) -> int | None:
+def _match(text: str, right: bool, window: str, k: int, ell: int, start: int) -> int | None:
     # the window's letter sits k characters into it; a match must lie
-    # strictly right (left) of `start`, with the whole window inside text
+    # strictly right (left) of `start`, with the whole window inside text.
+    # Going left, `start` is at least 1, so the end offset is never negative
     if right:
-        idx = text.find(window, 0 if start is None else max(0, start - k))
+        idx = text.find(window, start - k if start > k else 0)
     else:
-        idx = text.rfind(window, 0, len(text) if start is None else max(0, start - 1 + ell))
+        idx = text.rfind(window, 0, start - 1 + ell)
     return idx + k + 1 if idx >= 0 else None
+
+
+def _table(text: str, right: bool, letter: str) -> list[int | None]:
+    """Where a plain step for `letter` lands from each start 0..|text|+1,
+    start 0 standing for no position yet: the next-occurrence row of the
+    subsequence automaton (going left, the previous occurrence)."""
+    table: list[int | None] = [] if right else [None]
+    last = 0
+    i = text.find(letter)
+    while i >= 0:
+        table += [i + 1 if right else last or None] * (i + 1 - last)
+        last = i + 1
+        i = text.find(letter, last)
+    table += [None if right else last or None] * (len(text) + 2 - len(table))
+    if not right:
+        table[0] = last or None
+    return table
 
 
 def eval_ranker(r: Ranker, w: Word) -> int | None:
@@ -225,17 +247,20 @@ class RealizedSet:
         return out
 
 
-def _steps(texts: tuple[str, ...], width: int) -> list[tuple]:
-    """The candidate steps whose window occurs in one of the texts, each side
-    at most `width` letters, in the order `sort_key` sorts steps, as
-    (step, whether it goes right, window, before width, after width).
+def _steps(tu: str, tv: str, width: int) -> list[tuple]:
+    """The candidate steps whose window occurs in u or v, each side at most
+    `width` letters, in the order `sort_key` sorts steps, as (step, whether
+    it goes right, its lookup on u, its lookup on v). A lookup maps a start,
+    0 for no position yet, to where the step lands, or None.
 
-    A window that occurs in none of the texts is undefined everywhere on
-    them, so harvesting from the words loses nothing. A window is a
-    substring of the texts split into `before`, `letter` and `after`.
+    A window that occurs in neither text is undefined everywhere on them,
+    so harvesting from the words loses nothing. A window is a substring of
+    the texts split into `before`, `letter` and `after`. A plain step looks
+    its landing up in a table of the text; a wider window searches the text
+    (`_match`), since its lookups seldom repeat.
     """
     found = [
-        {text[i : i + size] for text in texts for i in range(len(text) - size + 1)}
+        {text[i : i + size] for text in (tu, tv) for i in range(len(text) - size + 1)}
         for size in range(1, 2 * width + 2)
     ]
     windows = sorted(
@@ -244,12 +269,19 @@ def _steps(texts: tuple[str, ...], width: int) -> list[tuple]:
         for ell in range(width + 1)
         for s in found[k + ell]
     )
-    return [
-        (BoundaryPos(direction, letter, before, after), direction is Direction.RIGHT,
-         before + letter + after, len(before), len(after))
-        for direction in (Direction.RIGHT, Direction.LEFT)
-        for before, letter, after in windows
-    ]
+    candidates = []
+    for direction in (Direction.RIGHT, Direction.LEFT):
+        right = direction is Direction.RIGHT
+        for before, letter, after in windows:
+            if width:
+                window, k, ell = before + letter + after, len(before), len(after)
+                on_u = partial(_match, tu, right, window, k, ell)
+                on_v = on_u if tu == tv else partial(_match, tv, right, window, k, ell)
+            else:
+                on_u = _table(tu, right, letter).__getitem__
+                on_v = on_u if tu == tv else _table(tv, right, letter).__getitem__
+            candidates.append((BoundaryPos(direction, letter, before, after), right, on_u, on_v))
+    return candidates
 
 
 def _realize(w: Word, n: int, alt_bound: int | None, cap: int, successor: bool) -> RealizedSet:
@@ -298,9 +330,11 @@ def _walk(u: Word, v: Word, n: int, alt_bound: int | None, successor: bool, cap:
     deeper one does, so the walk ends at the first depth with no new state,
     however large n is. Only rankers defined on both words are extended,
     each depth in order by the candidate steps in order, so rankers come
-    out in `sort_key` order and each state keeps its least ranker. Where u
-    and v are one text and a ranker sits at one position on both, one
-    lookup serves both words.
+    out in `sort_key` order and each state keeps its least ranker. A
+    candidate step is one lookup per word (`_steps`): a plain step reads a
+    next-occurrence table built for this walk, in which start 0 stands for
+    the root's "no position yet". Where u and v are one text and a ranker
+    sits at one position on both, one lookup serves both words.
 
     Returns the kept rankers as tuples of steps, their positions on u and
     on v and their blocks, and the least ranker defined on one word only,
@@ -315,22 +349,22 @@ def _walk(u: Word, v: Word, n: int, alt_bound: int | None, successor: bool, cap:
     widest, width = max(len(tu), len(tv), 1) - 1, None
     kept, pos_u, pos_v, blocks = [], [], [], []
     # (steps, position on u, position on v, direction blocks, last step goes right)
-    frontier: list[tuple] = [((), None, None, 0, None)]
+    frontier: list[tuple] = [((), 0, 0, 0, None)]
     for depth in range(1, n + 1):
         if not frontier:
             break
         if width != (width := min(depth - 1, widest) if successor else 0):
-            candidates = _steps((tu, tv), width)
+            candidates = _steps(tu, tv, width)
             seen = set()  # each window width has its own states
         next_frontier = []
         for steps, x, y, b0, last in frontier:
             shared = same and x == y
-            for step, right, window, k, ell in candidates:
+            for step, right, on_u, on_v in candidates:
                 b = b0 + (right is not last)
                 if alt_bound is not None and b > alt_bound:
                     continue
-                x2 = _match(tu, right, window, k, ell, x)
-                y2 = x2 if shared else _match(tv, right, window, k, ell, y)
+                x2 = on_u(x)
+                y2 = x2 if shared else on_v(y)
                 if x2 is None and y2 is None:
                     continue
                 if x2 is None or y2 is None:

@@ -369,19 +369,37 @@ def test_walk_over_its_cap_raises(monkeypatch):
             check()
 
 
+def _record_lookups(monkeypatch, record):
+    # wraps the lookups of every candidate step that the walk reads, so that
+    # each call reports (step, start) first; a lookup shared by both words
+    # stays one wrapper
+    from fo2words import rankers
+
+    steps = rankers._steps
+
+    def wrap(step, lookup):
+        def recorded(start):
+            record(step, start)
+            return lookup(start)
+
+        return recorded
+
+    def wrapped(*args):
+        out = []
+        for step, right, on_u, on_v in steps(*args):
+            look_u = wrap(step, on_u)
+            out.append((step, right, look_u, look_u if on_v is on_u else wrap(step, on_v)))
+        return out
+
+    monkeypatch.setattr(rankers, "_steps", wrapped)
+
+
 @pytest.mark.parametrize("w", ["abab", "aabba", "babbaab"])
 def test_walk_of_one_text_makes_one_lookup_per_step(monkeypatch, w):
     # a word walked against itself sits at one position on both copies, so
     # each step's lookup serves both
-    from fo2words import rankers
-
-    match, calls = rankers._match, []
-
-    def recorded(*args):
-        calls.append(args)
-        return match(*args)
-
-    monkeypatch.setattr(rankers, "_match", recorded)
+    calls = []
+    _record_lookups(monkeypatch, lambda step, start: calls.append((step, start)))
     realized_rankers(W(w), 3)
     realized_suc_rankers(W(w), 3)
     assert suc_ranker_equiv(W(w), W(w), 3).verdict is True
@@ -421,6 +439,56 @@ def test_deciders_build_only_the_rankers_they_report(monkeypatch, decide, fails_
     assert report.failed_condition is FailedCondition.ORDER
 
 
+def test_plain_walk_makes_no_text_search(monkeypatch):
+    # a plain step reads its landing from a next-occurrence table, so the
+    # plain deciders and realized sets answer with the text search refused
+    from fo2words import rankers
+
+    u = W(_U60)
+    cases = [shrink(u, 3), u, W(_U60 + "b")]
+    expected = [
+        (ranker_equiv(u, v, 3).to_json_dict(), ranker_equiv_alt(u, v, 2, 3).to_json_dict())
+        for v in cases
+    ]
+    assert [game_equiv(u, v, 3).delilah_wins for v in cases] == [True, True, False]
+
+    def refuse(*args):
+        raise AssertionError("a plain walk searched the text")
+
+    monkeypatch.setattr(rankers, "_match", refuse)
+    for v, (plain, alt) in zip(cases, expected):
+        assert ranker_equiv(u, v, 3).to_json_dict() == plain
+        assert ranker_equiv_alt(u, v, 2, 3).to_json_dict() == alt
+        assert plain["verdict"] is game_equiv(u, v, 3).delilah_wins
+    realized = {w: realized_rankers(w, 3) for w in cases[:2]}
+    monkeypatch.undo()
+    for w, found in realized.items():
+        assert len(found) > 0
+        assert all(evaluate(r, w) == p for r, p in found.positions.items())
+
+
+@pytest.mark.parametrize("w", ["", "a", "abab", "aabba", "babbaab", _U60])
+def test_a_word_against_itself_is_decided_by_the_walk(monkeypatch, w):
+    # equal texts put every ranker at one position on both words, so no
+    # row can fail (b) or (c) once the walk finds no one-sided ranker
+    from fo2words import equivalence
+
+    def refuse(*args):
+        raise AssertionError("the order check ran on one text")
+
+    monkeypatch.setattr(equivalence, "_first_bad", refuse)
+    monkeypatch.setattr(equivalence, "_Columns", refuse)
+    u, v = W(w), W(w)
+    for report in (
+        ranker_equiv(u, v, 3),
+        ranker_equiv_alt(u, v, 2, 3),
+        suc_ranker_equiv(u, v, 3),
+        suc_ranker_equiv_alt(u, v, 2, 3),
+    ):
+        assert report.verdict is True
+        assert report.failed_condition is FailedCondition.NONE
+
+
 _SUCCESSOR_STOPS = [("abab", "abab"), ("abab", "abba"), ("aabab", "aabab"), ("aaaa", "aaaaa")]
 
 
@@ -441,18 +509,15 @@ def test_walk_stops_when_no_state_is_new(monkeypatch, u, v, successor, m):
     # a walk has finitely many states: pairs of positions (with an
     # alternation bound, also blocks and last direction) for each window
     # width, and the width stops growing at max(|u|, |v|) - 1. So its report
-    # at a huge n is read off the same walk as at a small one. The call
+    # at a huge n is read off the same walk as at a small one. The lookup
     # counter stops a walk whose states keep growing, the alarm one that
     # steps through every empty depth.
-    from fo2words import rankers
+    calls = [0]
 
-    match, calls = rankers._match, [0]
-
-    def counted(*args):
+    def counted(step, start):
         calls[0] += 1
         if calls[0] > 20_000:
             raise AssertionError("the walk keeps finding new states")
-        return match(*args)
 
     def alarm(signum, frame):
         raise AssertionError("the walk did not stop at its last new state")
@@ -462,7 +527,7 @@ def test_walk_stops_when_no_state_is_new(monkeypatch, u, v, successor, m):
             return (suc_ranker_equiv if successor else ranker_equiv)(W(u), W(v), n)
         return (suc_ranker_equiv_alt if successor else ranker_equiv_alt)(W(u), W(v), m, n)
 
-    monkeypatch.setattr(rankers, "_match", counted)
+    _record_lookups(monkeypatch, counted)
     previous = signal.signal(signal.SIGALRM, alarm)
     signal.setitimer(signal.ITIMER_REAL, 10)
     try:
@@ -473,3 +538,4 @@ def test_walk_stops_when_no_state_is_new(monkeypatch, u, v, successor, m):
     small = decide(5).to_json_dict()
     assert huge.pop("n") == 10**9 and small.pop("n") == 5
     assert huge == small
+    assert calls[0] > 0

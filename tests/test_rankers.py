@@ -59,6 +59,41 @@ def test_left_step_before_the_first_position():
     assert eval_boundary(BoundaryPos(L, "a", before="b"), W("abaa"), start=4) == 3
 
 
+def test_tables_and_evaluation_match_the_search_formula():
+    # the walk's plain steps read tables, start 0 standing for no position
+    # yet; eval_boundary keeps the answer of the formula it had before the
+    # walk's starts became ints, for every start it accepts
+    from fo2words.rankers import _match, _table
+
+    def formula(text, right, window, k, ell, start):
+        if right:
+            idx = text.find(window, 0 if start is None else max(0, start - k))
+        else:
+            idx = text.rfind(window, 0, len(text) if start is None else max(0, start - 1 + ell))
+        return idx + k + 1 if idx >= 0 else None
+
+    windows = [
+        ("".join(b), c, "".join(a))
+        for k, ell in ((0, 0), (1, 0), (0, 2))
+        for b in itertools.product("abc", repeat=k)
+        for c in "abc"
+        for a in itertools.product("abc", repeat=ell)
+    ]
+    for w in all_words(ABC, 6):
+        text = w.text
+        for right, letter in itertools.product((True, False), "abc"):
+            table = _table(text, right, letter)
+            assert len(table) == len(text) + 2
+            for start in range(len(text) + 2):
+                from_root = start or (0 if right else len(text) + 1)
+                assert table[start] == _match(text, right, letter, 0, 0, from_root)
+        for (before, letter, after), d in itertools.product(windows, (R, L)):
+            step, window = BoundaryPos(d, letter, before, after), before + letter + after
+            for start in (None, 0, -1, -5, *range(1, len(text) + 2)):
+                expected = formula(text, d is R, window, len(before), len(after), start)
+                assert eval_boundary(step, w, start) == expected, (step, text, start)
+
+
 def test_eval_ranker_worked_values():
     r = parse_ranker(">a>c<b")
     assert eval_ranker(r, W("cababcba", ABC)) == 5
