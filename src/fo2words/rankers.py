@@ -160,17 +160,20 @@ def _table(text: str, right: bool, letter: str) -> list[int | None]:
     """Where a plain step for `letter` lands from each start 0..|text|+1,
     start 0 standing for no position yet: the next-occurrence row of the
     subsequence automaton (going left, the previous occurrence)."""
-    table: list[int | None] = [] if right else [None]
-    last = 0
-    i = text.find(letter)
-    while i >= 0:
-        table += [i + 1 if right else last or None] * (i + 1 - last)
-        last = i + 1
-        i = text.find(letter, last)
-    table += [None if right else last or None] * (len(text) + 2 - len(table))
-    if not right:
-        table[0] = last or None
-    return table
+    runs = [len(run) + 1 for run in text.split(letter)]  # each but the last ends at an occurrence
+    table: list[int | None] = []
+    at = 0
+    if right:
+        for size in runs[:-1]:
+            at += size
+            table += [at] * size
+        return table + [None] * (runs[-1] + 1)
+    last = None
+    for size in runs:
+        table += [last] * size
+        at += size
+        last = at
+    return [table[-1], *table]
 
 
 def eval_ranker(r: Ranker, w: Word) -> int | None:
