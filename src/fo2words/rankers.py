@@ -160,16 +160,18 @@ def _table(text: str, right: bool, letter: str) -> list[int | None]:
     """Where a plain step for `letter` lands from each start 0..|text|+1,
     start 0 standing for no position yet: the next-occurrence row of the
     subsequence automaton (going left, the previous occurrence)."""
-    runs = [len(run) + 1 for run in text.split(letter)]  # each but the last ends at an occurrence
+    runs = text.split(letter)  # each run but the last ends at an occurrence
     table: list[int | None] = []
     at = 0
     if right:
-        for size in runs[:-1]:
+        for run in runs[:-1]:
+            size = len(run) + 1
             at += size
             table += [at] * size
-        return table + [None] * (runs[-1] + 1)
+        return table + [None] * (len(runs[-1]) + 2)
     last = None
-    for size in runs:
+    for run in runs:
+        size = len(run) + 1
         table += [last] * size
         at += size
         last = at
@@ -262,9 +264,9 @@ def _steps(tu: str, tv: str, width: int) -> list[tuple]:
     its landing up in a table of the text; a wider window searches the text
     (`_match`), since its lookups seldom repeat.
     """
-    found = [
+    found = [set(tu + tv)] + [
         {text[i : i + size] for text in (tu, tv) for i in range(len(text) - size + 1)}
-        for size in range(1, 2 * width + 2)
+        for size in range(2, 2 * width + 2)
     ]
     windows = sorted(
         (s[:k], s[k], s[k + 1 :])
