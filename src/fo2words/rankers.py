@@ -260,9 +260,9 @@ def _steps(tu: str, tv: str, width: int) -> list[tuple]:
 
     A window that occurs in neither text is undefined everywhere on them,
     so harvesting from the words loses nothing. A window is a substring of
-    the texts split into `before`, `letter` and `after`. A plain step looks
-    its landing up in a table of the text; a wider window searches the text
-    (`_match`), since its lookups seldom repeat.
+    the texts split into `before`, `letter` and `after`. A plain step reads
+    a table of the text; a wider window searches it, since its lookups
+    seldom repeat.
     """
     found = [set(tu + tv)] + [
         {text[i : i + size] for text in (tu, tv) for i in range(len(text) - size + 1)}
@@ -336,10 +336,9 @@ def _walk(u: Word, v: Word, n: int, alt_bound: int | None, successor: bool, cap:
     however large n is. Only rankers defined on both words are extended,
     each depth in order by the candidate steps in order, so rankers come
     out in `sort_key` order and each state keeps its least ranker. A
-    candidate step is one lookup per word (`_steps`): a plain step reads a
-    next-occurrence table built for this walk, in which start 0 stands for
-    the root's "no position yet". Where u and v are one text and a ranker
-    sits at one position on both, one lookup serves both words.
+    candidate step is one lookup per word (`_steps`), and the root's start
+    is 0. Where u and v are one text and a ranker sits at one position on
+    both, one lookup serves both words.
 
     Returns the kept rankers as tuples of steps, their positions on u and
     on v and their blocks, and the least ranker defined on one word only,

@@ -61,8 +61,8 @@ def test_left_step_before_the_first_position():
 
 def test_tables_and_evaluation_match_the_search_formula():
     # the walk's plain steps read tables, start 0 standing for no position
-    # yet; eval_boundary keeps the answer of the formula it had before the
-    # walk's starts became ints, for every start it accepts
+    # yet; eval_boundary answers as the clamped search below does, for
+    # every start it accepts, None and starts below 1 included
     from fo2words.rankers import _match, _table
 
     def formula(text, right, window, k, ell, start):
