@@ -11,14 +11,14 @@ words at once serves both too: over a word and itself it enumerates the
 rankers realized on it, and over two words it finds the rankers that their
 equivalence check compares. The walk reads a plain step from a
 next-occurrence table of each word (the subsequence automaton), one list
-lookup per step, and searches the word only for a step with a window.
+lookup per step, while the tables fit under its cap, and searches the word
+for any other step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import Iterator, Mapping
 
 from .errors import EnumerationCapError
@@ -139,7 +139,7 @@ def eval_boundary(p: BoundaryPos, w: Word, start: int | None = None) -> int | No
     when given; None when absent."""
     right = p.direction is Direction.RIGHT
     if start is None:
-        start = 0 if right else len(w.text) + 1
+        start = 0
     elif start < 1 and not right:
         return None
     return _match(w.text, right, p.before + p.letter + p.after, len(p.before), len(p.after), start)
@@ -148,34 +148,30 @@ def eval_boundary(p: BoundaryPos, w: Word, start: int | None = None) -> int | No
 def _match(text: str, right: bool, window: str, k: int, ell: int, start: int) -> int | None:
     # the window's letter sits k characters into it; a match must lie
     # strictly right (left) of `start`, with the whole window inside text.
-    # Going left, `start` is at least 1, so the end offset is never negative
+    # Start 0 is no position yet; going left, any other start is at least 1,
+    # so the end offset is never negative
     if right:
         idx = text.find(window, start - k if start > k else 0)
     else:
-        idx = text.rfind(window, 0, start - 1 + ell)
+        idx = text.rfind(window, 0, start - 1 + ell if start else len(text))
     return idx + k + 1 if idx >= 0 else None
 
 
-def _table(text: str, right: bool, letter: str) -> list[int | None]:
+def _tables(text: str, letter: str) -> tuple[list[int | None], list[int | None]]:
     """Where a plain step for `letter` lands from each start 0..|text|+1,
-    start 0 standing for no position yet: the next-occurrence row of the
-    subsequence automaton (going left, the previous occurrence)."""
-    runs = text.split(letter)  # each run but the last ends at an occurrence
-    table: list[int | None] = []
+    going right and going left, start 0 standing for no position yet: the
+    next- and previous-occurrence rows of the subsequence automaton."""
+    right: list[int | None] = []
+    left: list[int | None] = [None]
     at = 0
-    if right:
-        for run in runs[:-1]:
-            size = len(run) + 1
-            at += size
-            table += [at] * size
-        return table + [None] * (len(runs[-1]) + 2)
-    last = None
-    for run in runs:
+    for run in text.split(letter):  # each run but the last ends at an occurrence
         size = len(run) + 1
-        table += [last] * size
+        left += [at or None] * size
         at += size
-        last = at
-    return [table[-1], *table]
+        right += [at] * size
+    right[-size:] = [None] * (size + 1)
+    left[0] = left[-1]
+    return right, left
 
 
 def eval_ranker(r: Ranker, w: Word) -> int | None:
@@ -252,17 +248,17 @@ class RealizedSet:
         return out
 
 
-def _steps(tu: str, tv: str, width: int) -> list[tuple]:
+def _steps(tu: str, tv: str, width: int, cap: int) -> list[tuple]:
     """The candidate steps whose window occurs in u or v, each side at most
-    `width` letters, in the order `sort_key` sorts steps, as (step, whether
-    it goes right, its lookup on u, its lookup on v). A lookup maps a start,
-    0 for no position yet, to where the step lands, or None.
+    `width` letters, in the order `sort_key` sorts steps.
 
     A window that occurs in neither text is undefined everywhere on them,
     so harvesting from the words loses nothing. A window is a substring of
     the texts split into `before`, `letter` and `after`. A plain step reads
-    a table of the text; a wider window searches it, since its lookups
-    seldom repeat.
+    a table of each word, (step, whether it goes right, table on u, table
+    on v, None), for as many letters as keep the tables' entries, 2(|u| +
+    |v| + 4) a letter, within `cap`. Any other step searches the texts,
+    (step, whether it goes right, window, before width, after width).
     """
     found = [set(tu + tv)] + [
         {text[i : i + size] for text in (tu, tv) for i in range(len(text) - size + 1)}
@@ -274,18 +270,21 @@ def _steps(tu: str, tv: str, width: int) -> list[tuple]:
         for ell in range(width + 1)
         for s in found[k + ell]
     )
+    tabled = 0 if width else cap // (2 * (len(tu) + len(tv) + 4))
+    tables = []
+    for _, letter, _ in windows[:tabled]:
+        on_u = _tables(tu, letter)
+        tables.append((on_u, on_u if tu == tv else _tables(tv, letter)))
     candidates = []
-    for direction in (Direction.RIGHT, Direction.LEFT):
+    for d, direction in enumerate((Direction.RIGHT, Direction.LEFT)):
         right = direction is Direction.RIGHT
-        for before, letter, after in windows:
-            if width:
-                window, k, ell = before + letter + after, len(before), len(after)
-                on_u = partial(_match, tu, right, window, k, ell)
-                on_v = on_u if tu == tv else partial(_match, tv, right, window, k, ell)
+        for i, (before, letter, after) in enumerate(windows):
+            step = BoundaryPos(direction, letter, before, after)
+            if i < tabled:
+                on_u, on_v = tables[i]
+                candidates.append((step, right, on_u[d], on_v[d], None))
             else:
-                on_u = _table(tu, right, letter).__getitem__
-                on_v = on_u if tu == tv else _table(tv, right, letter).__getitem__
-            candidates.append((BoundaryPos(direction, letter, before, after), right, on_u, on_v))
+                candidates.append((step, right, before + letter + after, len(before), len(after)))
     return candidates
 
 
@@ -336,9 +335,9 @@ def _walk(u: Word, v: Word, n: int, alt_bound: int | None, successor: bool, cap:
     however large n is. Only rankers defined on both words are extended,
     each depth in order by the candidate steps in order, so rankers come
     out in `sort_key` order and each state keeps its least ranker. A
-    candidate step is one lookup per word (`_steps`), and the root's start
-    is 0. Where u and v are one text and a ranker sits at one position on
-    both, one lookup serves both words.
+    candidate step reads a table of each word or searches them (`_steps`),
+    and the root's start is 0. Where u and v are one text and a ranker sits
+    at one position on both, one lookup serves both words.
 
     Returns the kept rankers as tuples of steps, their positions on u and
     on v and their blocks, and the least ranker defined on one word only,
@@ -358,17 +357,21 @@ def _walk(u: Word, v: Word, n: int, alt_bound: int | None, successor: bool, cap:
         if not frontier:
             break
         if width != (width := min(depth - 1, widest) if successor else 0):
-            candidates = _steps(tu, tv, width)
+            candidates = _steps(tu, tv, width, cap)
             seen = set()  # each window width has its own states
         next_frontier = []
         for steps, x, y, b0, last in frontier:
             shared = same and x == y
-            for step, right, on_u, on_v in candidates:
+            for step, right, on_u, on_v, ell in candidates:
                 b = b0 + (right is not last)
                 if alt_bound is not None and b > alt_bound:
                     continue
-                x2 = on_u(x)
-                y2 = x2 if shared else on_v(y)
+                if ell is None:
+                    x2 = on_u[x]
+                    y2 = x2 if shared else on_v[y]
+                else:  # on_u is the window, on_v its before width
+                    x2 = _match(tu, right, on_u, on_v, ell, x)
+                    y2 = x2 if shared else _match(tv, right, on_u, on_v, ell, y)
                 if x2 is None and y2 is None:
                     continue
                 if x2 is None or y2 is None:

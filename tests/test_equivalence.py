@@ -370,28 +370,36 @@ def test_walk_over_its_cap_raises(monkeypatch):
 
 
 def _record_lookups(monkeypatch, record):
-    # wraps the lookups of every candidate step that the walk reads, so that
-    # each call reports (step, start) first; a lookup shared by both words
-    # stays one wrapper
+    # reports each lookup that the walk makes, a table read as (step, start)
+    # and a text search as (its search arguments, start), before making it;
+    # a table shared by both words stays one table
     from fo2words import rankers
 
-    steps = rankers._steps
+    steps, match = rankers._steps, rankers._match
 
-    def wrap(step, lookup):
-        def recorded(start):
-            record(step, start)
-            return lookup(start)
+    class Recorded:
+        def __init__(self, step, table):
+            self.step, self.table = step, table
 
-        return recorded
+        def __getitem__(self, start):
+            record(self.step, start)
+            return self.table[start]
 
     def wrapped(*args):
         out = []
-        for step, right, on_u, on_v in steps(*args):
-            look_u = wrap(step, on_u)
-            out.append((step, right, look_u, look_u if on_v is on_u else wrap(step, on_v)))
+        for step, right, on_u, on_v, ell in steps(*args):
+            if ell is None:
+                look_u = Recorded(step, on_u)
+                on_u, on_v = look_u, look_u if on_v is on_u else Recorded(step, on_v)
+            out.append((step, right, on_u, on_v, ell))
         return out
 
+    def searched(text, right, window, k, ell, start):
+        record((right, window, k, ell), start)
+        return match(text, right, window, k, ell, start)
+
     monkeypatch.setattr(rankers, "_steps", wrapped)
+    monkeypatch.setattr(rankers, "_match", searched)
 
 
 @pytest.mark.parametrize("w", ["abab", "aabba", "babbaab"])
@@ -487,6 +495,26 @@ def test_a_word_against_itself_is_decided_by_the_walk(monkeypatch, w):
     ):
         assert report.verdict is True
         assert report.failed_condition is FailedCondition.NONE
+
+
+def test_tables_of_many_letters_stay_under_the_cap():
+    # a plain step's table holds a landing for every position, so tables
+    # for all k letters of two words take 2k(|u| + |v| + 4) entries: 9M
+    # here, about 70 MB. The walk builds them only for the letters whose
+    # entries fit under its cap and searches the words for the others
+    import tracemalloc
+
+    letters = tuple(chr(0x4E00 + i) for i in range(1500))
+    alphabet = Alphabet(letters)
+    u, v = Word(alphabet, "".join(letters)), Word(alphabet, "".join(reversed(letters)))
+    tracemalloc.start()
+    try:
+        report = ranker_equiv(u, v, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict is True
+    assert peak < 10_000_000
 
 
 _SUCCESSOR_STOPS = [("abab", "abab"), ("abab", "abba"), ("aabab", "aabab"), ("aaaa", "aaaaa")]

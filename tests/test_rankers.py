@@ -63,7 +63,7 @@ def test_tables_and_evaluation_match_the_search_formula():
     # the walk's plain steps read tables, start 0 standing for no position
     # yet; eval_boundary answers as the clamped search below does, for
     # every start it accepts, None and starts below 1 included
-    from fo2words.rankers import _match, _table
+    from fo2words.rankers import _match, _tables
 
     def formula(text, right, window, k, ell, start):
         if right:
@@ -81,12 +81,11 @@ def test_tables_and_evaluation_match_the_search_formula():
     ]
     for w in all_words(ABC, 6):
         text = w.text
-        for right, letter in itertools.product((True, False), "abc"):
-            table = _table(text, right, letter)
-            assert len(table) == len(text) + 2
-            for start in range(len(text) + 2):
-                from_root = start or (0 if right else len(text) + 1)
-                assert table[start] == _match(text, right, letter, 0, 0, from_root)
+        for letter in "abc":
+            for right, table in zip((True, False), _tables(text, letter)):
+                assert len(table) == len(text) + 2
+                for start in range(len(text) + 2):
+                    assert table[start] == _match(text, right, letter, 0, 0, start)
         for (before, letter, after), d in itertools.product(windows, (R, L)):
             step, window = BoundaryPos(d, letter, before, after), before + letter + after
             for start in (None, 0, -1, -5, *range(1, len(text) + 2)):
