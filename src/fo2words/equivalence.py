@@ -15,12 +15,12 @@ least ranker of each state: its positions on u and v and, with an
 alternation bound, its blocks and last direction. With successor, states
 are kept per window width, which stops at max(|u|, |v|) - 1, so both walks
 end at their first depth with no new state. A plain step is one lookup in
-a next-occurrence table of each word. Where u and v are one text, one
-lookup per step serves both words, and once the walk finds no one-sided
-ranker the verdict is true: every ranker sits at one position on both
-words, so (b) and (c) are not checked. The walk keeps each ranker as its
-tuple of steps, and a `Ranker` or `SucRanker` is built only for a reported
-witness. (b) and (c) read a ranker through its state and length only, and
+a next-occurrence table of each word while the tables fit under the walk's
+cap. Where u and v are one text, one lookup per step serves both words,
+and once the walk finds no one-sided ranker the verdict is true: every
+ranker sits at one position on both words, so (b) and (c) are not
+checked. The walk keeps each ranker as its tuple of steps, and a `Ranker`
+or `SucRanker` is built only for a reported witness. (b) and (c) read a ranker through its state and length only, and
 a state's least ranker is its shortest, so the witnesses are those of a
 check over every ranker.
 
