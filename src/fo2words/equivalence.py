@@ -11,18 +11,26 @@ alternation variants, at most m direction blocks):
 
 One breadth-first walk over both words at once (`rankers._walk`) finds the
 least ranker defined on one word only, which fails (a), or else keeps the
-least ranker of each state: its positions on u and v and, with an
-alternation bound, its blocks and last direction. With successor, states
-are kept per window width, which stops at max(|u|, |v|) - 1, so both walks
-end at their first depth with no new state. A plain step is one lookup in
-a next-occurrence table of each word while the tables fit under the walk's
-cap. Where u and v are one text, one lookup per step serves both words,
-and once the walk finds no one-sided ranker the verdict is true: every
-ranker sits at one position on both words, so (b) and (c) are not
-checked. The walk keeps each ranker as its tuple of steps, and a `Ranker`
-or `SucRanker` is built only for a reported witness. (b) and (c) read a ranker through its state and length only, and
-a state's least ranker is its shortest, so the witnesses are those of a
-check over every ranker.
+rankers no earlier one dominates. A state is a ranker's positions on u and
+v and, with an alternation bound, its last direction; a ranker is kept
+only with fewer blocks than every earlier one at its state (with no bound,
+a state keeps its first ranker). With successor, states are kept per
+window width, which stops at max(|u|, |v|) - 1, so both walks end at their
+first depth with no new state. Where u and v are one text, one search per
+step serves both words, and once the walk finds no one-sided ranker the
+verdict is true: every ranker sits at one position on both words, so (b)
+and (c) are not checked. The walk keeps each ranker as its tuple of steps,
+and a `Ranker` or `SucRanker` is built only for a reported witness.
+
+A skipped ranker sits where an earlier kept one does, ends in the same
+direction, and has no fewer blocks and no fewer steps. As a row it fails
+(b) or (c) only where the earlier one does; as a column it qualifies only
+where the earlier one, which comes first, does, since (b) bounds columns'
+steps and blocks and (c) splits them by last direction; and each of its
+one-sided extensions extends the earlier one, found first. So the
+witnesses are those of a check over every ranker. For the same reason the
+walk does not extend a ranker where an earlier one at its positions that
+ends the other way has fewer blocks: a step adds at most one block to it.
 
 Conditions (b) and (c) compare every row ranker with a set of column rankers
 through the comparison the signature sees: `order_type`, or with successor

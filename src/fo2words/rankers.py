@@ -9,10 +9,8 @@ A plain ranker is a successor ranker whose windows are all empty, so one step
 type and one evaluator serve both signatures. One breadth-first walk over two
 words at once serves both too: over a word and itself it enumerates the
 rankers realized on it, and over two words it finds the rankers that their
-equivalence check compares. The walk reads a plain step from a
-next-occurrence table of each word (the subsequence automaton), one list
-lookup per step, while the tables fit under its cap, and searches the word
-for any other step.
+equivalence check compares. Every step of the walk is one search of each
+word for its window.
 """
 
 from __future__ import annotations
@@ -157,23 +155,6 @@ def _match(text: str, right: bool, window: str, k: int, ell: int, start: int) ->
     return idx + k + 1 if idx >= 0 else None
 
 
-def _tables(text: str, letter: str) -> tuple[list[int | None], list[int | None]]:
-    """Where a plain step for `letter` lands from each start 0..|text|+1,
-    going right and going left, start 0 standing for no position yet: the
-    next- and previous-occurrence rows of the subsequence automaton."""
-    right: list[int | None] = []
-    left: list[int | None] = [None]
-    at = 0
-    for run in text.split(letter):  # each run but the last ends at an occurrence
-        size = len(run) + 1
-        left += [at or None] * size
-        at += size
-        right += [at] * size
-    right[-size:] = [None] * (size + 1)
-    left[0] = left[-1]
-    return right, left
-
-
 def eval_ranker(r: Ranker, w: Word) -> int | None:
     """Fold the steps left to right; None as soon as a step has no occurrence."""
     pos: int | None = None
@@ -248,17 +229,15 @@ class RealizedSet:
         return out
 
 
-def _steps(tu: str, tv: str, width: int, cap: int) -> list[tuple]:
+def _steps(tu: str, tv: str, width: int) -> list[tuple]:
     """The candidate steps whose window occurs in u or v, each side at most
     `width` letters, in the order `sort_key` sorts steps.
 
     A window that occurs in neither text is undefined everywhere on them,
     so harvesting from the words loses nothing. A window is a substring of
-    the texts split into `before`, `letter` and `after`. A plain step reads
-    a table of each word, (step, whether it goes right, table on u, table
-    on v, None), for as many letters as keep the tables' entries, 2(|u| +
-    |v| + 4) a letter, within `cap`. Any other step searches the texts,
-    (step, whether it goes right, window, before width, after width).
+    the texts split into `before`, `letter` and `after`. Each candidate is
+    (step, whether it goes right, window, before width, after width), the
+    arguments `_match` searches a text with.
     """
     found = [set(tu + tv)] + [
         {text[i : i + size] for text in (tu, tv) for i in range(len(text) - size + 1)}
@@ -270,22 +249,12 @@ def _steps(tu: str, tv: str, width: int, cap: int) -> list[tuple]:
         for ell in range(width + 1)
         for s in found[k + ell]
     )
-    tabled = 0 if width else cap // (2 * (len(tu) + len(tv) + 4))
-    tables = []
-    for _, letter, _ in windows[:tabled]:
-        on_u = _tables(tu, letter)
-        tables.append((on_u, on_u if tu == tv else _tables(tv, letter)))
-    candidates = []
-    for d, direction in enumerate((Direction.RIGHT, Direction.LEFT)):
-        right = direction is Direction.RIGHT
-        for i, (before, letter, after) in enumerate(windows):
-            step = BoundaryPos(direction, letter, before, after)
-            if i < tabled:
-                on_u, on_v = tables[i]
-                candidates.append((step, right, on_u[d], on_v[d], None))
-            else:
-                candidates.append((step, right, before + letter + after, len(before), len(after)))
-    return candidates
+    return [
+        (BoundaryPos(direction, letter, before, after), direction is Direction.RIGHT,
+         before + letter + after, len(before), len(after))
+        for direction in (Direction.RIGHT, Direction.LEFT)
+        for before, letter, after in windows
+    ]
 
 
 def _realize(w: Word, n: int, alt_bound: int | None, cap: int, successor: bool) -> RealizedSet:
@@ -327,17 +296,22 @@ def _walk(u: Word, v: Word, n: int, alt_bound: int | None, successor: bool, cap:
     the rankers realized on the word), else one per state.
 
     A state is a ranker's positions on u and on v and, with an alternation
-    bound, its blocks and whether its last step goes right. With successor,
-    step `depth` reads windows of min(depth - 1, max(|u|, |v|) - 1) letters
-    a side (wider ones fit in neither word), and states are kept per width.
-    While the width holds, a shallower visit of a state reaches all that a
-    deeper one does, so the walk ends at the first depth with no new state,
-    however large n is. Only rankers defined on both words are extended,
-    each depth in order by the candidate steps in order, so rankers come
-    out in `sort_key` order and each state keeps its least ranker. A
-    candidate step reads a table of each word or searches them (`_steps`),
-    and the root's start is 0. Where u and v are one text and a ranker sits
-    at one position on both, one lookup serves both words.
+    bound, whether its last step goes right. It keeps the least blocks seen
+    at it (0 with no bound), and a ranker whose blocks are not below that
+    least is skipped; nor is a ranker extended where an earlier one at its
+    positions, ending the other way, has fewer blocks. Either way an
+    earlier ranker reaches all it reaches, first (the `equivalence` module
+    says why no report changes).
+
+    With successor, step `depth` reads windows of min(depth - 1,
+    max(|u|, |v|) - 1) letters a side (wider ones fit in neither word), and
+    states are kept per width. While the width holds, a shallower visit of
+    a state reaches all that a deeper one does, so the walk ends at the
+    first depth with no new state, however large n is. Only rankers defined
+    on both words are extended, each depth in order by the candidate steps
+    in order (`_steps`), so rankers come out in `sort_key` order. The
+    root's start is 0. Where u and v are one text and a ranker sits at one
+    position on both, one search serves both words.
 
     Returns the kept rankers as tuples of steps, their positions on u and
     on v and their blocks, and the least ranker defined on one word only,
@@ -349,6 +323,7 @@ def _walk(u: Word, v: Word, n: int, alt_bound: int | None, successor: bool, cap:
     make = SucRanker if successor else Ranker
     tu, tv = u.text, v.text
     same = tu == tv
+    bounded = alt_bound is not None
     widest, width = max(len(tu), len(tv), 1) - 1, None
     kept, pos_u, pos_v, blocks = [], [], [], []
     # (steps, position on u, position on v, direction blocks, last step goes right)
@@ -357,30 +332,26 @@ def _walk(u: Word, v: Word, n: int, alt_bound: int | None, successor: bool, cap:
         if not frontier:
             break
         if width != (width := min(depth - 1, widest) if successor else 0):
-            candidates = _steps(tu, tv, width, cap)
-            seen = set()  # each window width has its own states
+            candidates = _steps(tu, tv, width)
+            seen = {}  # state -> least blocks; each window width has its own
         next_frontier = []
         for steps, x, y, b0, last in frontier:
             shared = same and x == y
-            for step, right, on_u, on_v, ell in candidates:
+            for step, right, window, k, ell in candidates:
                 b = b0 + (right is not last)
-                if alt_bound is not None and b > alt_bound:
+                if bounded and b > alt_bound:
                     continue
-                if ell is None:
-                    x2 = on_u[x]
-                    y2 = x2 if shared else on_v[y]
-                else:  # on_u is the window, on_v its before width
-                    x2 = _match(tu, right, on_u, on_v, ell, x)
-                    y2 = x2 if shared else _match(tv, right, on_u, on_v, ell, y)
+                x2 = _match(tu, right, window, k, ell, x)
+                y2 = x2 if shared else _match(tv, right, window, k, ell, y)
                 if x2 is None and y2 is None:
                     continue
                 if x2 is None or y2 is None:
                     return kept, pos_u, pos_v, blocks, (make(steps + (step,)), x2, y2)
                 if not every:
-                    state = (x2, y2) if alt_bound is None else (x2, y2, b, right)
-                    if state in seen:
+                    state, least = ((x2, y2, right), b) if bounded else ((x2, y2), 0)
+                    if seen.get(state, least + 1) <= least:
                         continue
-                    seen.add(state)
+                    seen[state] = least
                 new_steps = steps + (step,)
                 kept.append(new_steps)
                 if len(kept) > cap:
@@ -388,7 +359,8 @@ def _walk(u: Word, v: Word, n: int, alt_bound: int | None, successor: bool, cap:
                 pos_u.append(x2)
                 pos_v.append(y2)
                 blocks.append(b)
-                next_frontier.append((new_steps, x2, y2, b, right))
+                if depth < n and seen.get((x2, y2, not right), b) >= b:
+                    next_frontier.append((new_steps, x2, y2, b, right))
         frontier = next_frontier
     return kept, pos_u, pos_v, blocks, None
 

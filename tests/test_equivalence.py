@@ -369,36 +369,55 @@ def test_walk_over_its_cap_raises(monkeypatch):
             check()
 
 
+def test_bounded_walk_keeps_a_state_only_with_fewer_blocks(monkeypatch):
+    # a bounded state is (position on u, position on v, last direction); a
+    # ranker there with no fewer blocks than an earlier one reaches nothing
+    # new, so the plain m = 12 witness walk keeps 1,911 rankers, not the
+    # 7,545 it kept with blocks in the state. Nor does a ranker reach
+    # anything new where one ending the other way has fewer blocks, so the
+    # walk makes 49,872 searches, not the 84,216 of extending every one
+    from fo2words import rankers, witness_words
+
+    searches = []
+    _record_lookups(monkeypatch, lambda args, start: searches.append(start))
+    monkeypatch.setattr(rankers, "DEFAULT_ENUMERATION_CAP", 5_000)
+    pair = witness_words(12, 12)
+    assert ranker_equiv_alt(pair.u, pair.v, 11, 12).verdict is True
+    assert len(searches) < 60_000
+
+
+def test_no_kept_ranker_is_dominated_by_an_earlier_one():
+    # in a bounded walk, each kept ranker has fewer blocks than every
+    # earlier kept ranker at its positions with its last direction
+    from fo2words.rankers import DEFAULT_ENUMERATION_CAP, _walk
+
+    rng = random.Random(5)
+    revisits = 0
+    for _ in range(300):
+        u, v = (W("".join(rng.choices("ab", k=rng.randint(0, 8)))) for _ in range(2))
+        n = rng.randint(1, 6)
+        m = rng.randint(1, n + 1)
+        kept, pos_u, pos_v, blocks, _ = _walk(u, v, n, m, False, DEFAULT_ENUMERATION_CAP)
+        least = {}
+        for steps, x, y, b in zip(kept, pos_u, pos_v, blocks):
+            state = (x, y, steps[-1].direction)
+            assert b < least.get(state, b + 1), (u.text, v.text, steps)
+            revisits += state in least
+            least[state] = b
+    assert revisits > 0
+
+
 def _record_lookups(monkeypatch, record):
-    # reports each lookup that the walk makes, a table read as (step, start)
-    # and a text search as (its search arguments, start), before making it;
-    # a table shared by both words stays one table
+    # reports each text search that the walk makes, as (its search
+    # arguments, start), before making it
     from fo2words import rankers
 
-    steps, match = rankers._steps, rankers._match
-
-    class Recorded:
-        def __init__(self, step, table):
-            self.step, self.table = step, table
-
-        def __getitem__(self, start):
-            record(self.step, start)
-            return self.table[start]
-
-    def wrapped(*args):
-        out = []
-        for step, right, on_u, on_v, ell in steps(*args):
-            if ell is None:
-                look_u = Recorded(step, on_u)
-                on_u, on_v = look_u, look_u if on_v is on_u else Recorded(step, on_v)
-            out.append((step, right, on_u, on_v, ell))
-        return out
+    match = rankers._match
 
     def searched(text, right, window, k, ell, start):
         record((right, window, k, ell), start)
         return match(text, right, window, k, ell, start)
 
-    monkeypatch.setattr(rankers, "_steps", wrapped)
     monkeypatch.setattr(rankers, "_match", searched)
 
 
@@ -447,34 +466,6 @@ def test_deciders_build_only_the_rankers_they_report(monkeypatch, decide, fails_
     assert report.failed_condition is FailedCondition.ORDER
 
 
-def test_plain_walk_makes_no_text_search(monkeypatch):
-    # a plain step reads its landing from a next-occurrence table, so the
-    # plain deciders and realized sets answer with the text search refused
-    from fo2words import rankers
-
-    u = W(_U60)
-    cases = [shrink(u, 3), u, W(_U60 + "b")]
-    expected = [
-        (ranker_equiv(u, v, 3).to_json_dict(), ranker_equiv_alt(u, v, 2, 3).to_json_dict())
-        for v in cases
-    ]
-    assert [game_equiv(u, v, 3).delilah_wins for v in cases] == [True, True, False]
-
-    def refuse(*args):
-        raise AssertionError("a plain walk searched the text")
-
-    monkeypatch.setattr(rankers, "_match", refuse)
-    for v, (plain, alt) in zip(cases, expected):
-        assert ranker_equiv(u, v, 3).to_json_dict() == plain
-        assert ranker_equiv_alt(u, v, 2, 3).to_json_dict() == alt
-        assert plain["verdict"] is game_equiv(u, v, 3).delilah_wins
-    realized = {w: realized_rankers(w, 3) for w in cases[:2]}
-    monkeypatch.undo()
-    for w, found in realized.items():
-        assert len(found) > 0
-        assert all(evaluate(r, w) == p for r, p in found.positions.items())
-
-
 @pytest.mark.parametrize("w", ["", "a", "abab", "aabba", "babbaab", _U60])
 def test_a_word_against_itself_is_decided_by_the_walk(monkeypatch, w):
     # equal texts put every ranker at one position on both words, so no
@@ -498,10 +489,9 @@ def test_a_word_against_itself_is_decided_by_the_walk(monkeypatch, w):
 
 
 def test_tables_of_many_letters_stay_under_the_cap():
-    # a plain step's table holds a landing for every position, so tables
-    # for all k letters of two words take 2k(|u| + |v| + 4) entries: 9M
-    # here, about 70 MB. The walk builds them only for the letters whose
-    # entries fit under its cap and searches the words for the others
+    # two words of k distinct letters give the walk 2k candidate steps, and
+    # it searches the words for each. Tables of every start's landing for
+    # each letter would take 2k(|u| + |v| + 4) entries: 9M here, about 70 MB
     import tracemalloc
 
     letters = tuple(chr(0x4E00 + i) for i in range(1500))

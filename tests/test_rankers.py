@@ -59,11 +59,9 @@ def test_left_step_before_the_first_position():
     assert eval_boundary(BoundaryPos(L, "a", before="b"), W("abaa"), start=4) == 3
 
 
-def test_tables_and_evaluation_match_the_search_formula():
-    # the walk's plain steps read tables, start 0 standing for no position
-    # yet; eval_boundary answers as the clamped search below does, for
-    # every start it accepts, None and starts below 1 included
-    from fo2words.rankers import _match, _tables
+def test_evaluation_matches_the_search_formula():
+    # eval_boundary answers as the clamped search below does, for every
+    # start it accepts, None and starts below 1 included
 
     def formula(text, right, window, k, ell, start):
         if right:
@@ -81,11 +79,6 @@ def test_tables_and_evaluation_match_the_search_formula():
     ]
     for w in all_words(ABC, 6):
         text = w.text
-        for letter in "abc":
-            for right, table in zip((True, False), _tables(text, letter)):
-                assert len(table) == len(text) + 2
-                for start in range(len(text) + 2):
-                    assert table[start] == _match(text, right, letter, 0, 0, start)
         for (before, letter, after), d in itertools.product(windows, (R, L)):
             step, window = BoundaryPos(d, letter, before, after), before + letter + after
             for start in (None, 0, -1, -5, *range(1, len(text) + 2)):
