@@ -369,6 +369,20 @@ def test_walk_over_its_cap_raises(monkeypatch):
             check()
 
 
+def _record_lookups(monkeypatch, record):
+    # reports each text search that the walk makes, as (its search
+    # arguments, start), before making it
+    from fo2words import rankers
+
+    match = rankers._match
+
+    def searched(text, right, window, k, ell, start):
+        record((right, window, k, ell), start)
+        return match(text, right, window, k, ell, start)
+
+    monkeypatch.setattr(rankers, "_match", searched)
+
+
 def test_bounded_walk_keeps_a_state_only_with_fewer_blocks(monkeypatch):
     # a bounded state is (position on u, position on v, last direction); a
     # ranker there with no fewer blocks than an earlier one reaches nothing
@@ -405,20 +419,6 @@ def test_no_kept_ranker_is_dominated_by_an_earlier_one():
             revisits += state in least
             least[state] = b
     assert revisits > 0
-
-
-def _record_lookups(monkeypatch, record):
-    # reports each text search that the walk makes, as (its search
-    # arguments, start), before making it
-    from fo2words import rankers
-
-    match = rankers._match
-
-    def searched(text, right, window, k, ell, start):
-        record((right, window, k, ell), start)
-        return match(text, right, window, k, ell, start)
-
-    monkeypatch.setattr(rankers, "_match", searched)
 
 
 @pytest.mark.parametrize("w", ["abab", "aabba", "babbaab"])
