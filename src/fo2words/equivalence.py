@@ -107,17 +107,13 @@ class _Columns:
         by_v = sorted(cols, key=pos_v.__getitem__)
         self.sorted_u = [pos_u[j] for j in by_u]
         self.sorted_v = [pos_v[j] for j in by_v]
-        # same_set[s]: the s columns lowest on u are the s lowest on v
-        self.same_set = [True]
-        seen_u: set[int] = set()
-        seen_v: set[int] = set()
-        unmatched = 0
-        for ju, jv in zip(by_u, by_v):
-            seen_u.add(ju)
-            unmatched += -1 if ju in seen_v else 1
-            seen_v.add(jv)
-            unmatched += -1 if jv in seen_u else 1
-            self.same_set.append(unmatched == 0)
+        # same_set[s]: the s lowest columns on u are the s lowest on v, iff their highest v-rank is s - 1
+        rank_v = {j: r for r, j in enumerate(by_v)}
+        self.same_set, highest = [True], -1
+        for s, j in enumerate(by_u):
+            if rank_v[j] > highest:
+                highest = rank_v[j]
+            self.same_set.append(highest == s)
 
 
 def _first_bad(

@@ -444,15 +444,14 @@ class _Program:
     """
 
     def __init__(self, f: Formula):
-        # a pre-order, reversed, puts every node after its subformulas, a None
-        # before each quantifier's body, and the class Not, which negates the
-        # node before it, after the a of each a -> b
+        # a pre-order, reversed, puts every node after its subformulas and a
+        # None before each quantifier's body
         order, stack = [], [Exists("y", f)]
         while stack:
             node = stack.pop()
             order.append(node)
             if isinstance(node, Implies):  # a -> b is !a | b
-                stack += (node.left, Not, node.right)
+                stack += (Not(node.left), node.right)
             elif isinstance(node, _Binary):
                 stack += (node.left, node.right)
             elif isinstance(node, Not):
@@ -479,7 +478,7 @@ class _Program:
                 continue
             elif isinstance(node, _Relation):
                 tag, key = "rel", (type(node), node.left)
-            elif node is Not or isinstance(node, Not):
+            elif isinstance(node, Not):
                 tag, key = "op", (xor, done.pop(), 0)
             else:
                 b, a = done.pop(), done.pop()

@@ -310,8 +310,8 @@ def _walk(u: Word, v: Word, n: int, alt_bound: int | None, successor: bool, cap:
     first depth with no new state, however large n is. Only rankers defined
     on both words are extended, each depth in order by the candidate steps
     in order (`_steps`), so rankers come out in `sort_key` order. The
-    root's start is 0. Where u and v are one text and a ranker sits at one
-    position on both, one search serves both words.
+    root's start is 0. Where u and v are one text, every ranker sits at one
+    position on both, so one search serves both words.
 
     Returns the kept rankers as tuples of steps, their positions on u and
     on v and their blocks, and the least ranker defined on one word only,
@@ -336,13 +336,12 @@ def _walk(u: Word, v: Word, n: int, alt_bound: int | None, successor: bool, cap:
             seen = {}  # state -> least blocks; each window width has its own
         next_frontier = []
         for steps, x, y, b0, last in frontier:
-            shared = same and x == y
             for step, right, window, k, ell in candidates:
                 b = b0 + (right is not last)
                 if bounded and b > alt_bound:
                     continue
                 x2 = _match(tu, right, window, k, ell, x)
-                y2 = x2 if shared else _match(tv, right, window, k, ell, y)
+                y2 = x2 if same else _match(tv, right, window, k, ell, y)
                 if x2 is None and y2 is None:
                     continue
                 if x2 is None or y2 is None:

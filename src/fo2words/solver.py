@@ -334,7 +334,9 @@ def parse_dimacs(text: str) -> Cnf:
     current: list[int] = []
     for raw in text.splitlines():
         line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if line.startswith("%"):  # SATLIB's end of clauses; a stray "0" follows
+            break
+        if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             parts = line.split()

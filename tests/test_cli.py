@@ -55,6 +55,16 @@ def test_equiv_both_agrees(capsys):
     assert record["methodsAgree"] is True
 
 
+def test_equiv_both_exits_3_on_disagreement(capsys, monkeypatch):
+    # a game that answers wrongly stands in for a defect in either decider
+    from fo2words import GameVerdict, efgames
+
+    monkeypatch.setattr(efgames, "game_equiv", lambda *args, **kwargs: GameVerdict(True))
+    code, out, err = run(capsys, "equiv", "ab", "ba", "-n", "2", "--method", "both", "--format", "text")
+    assert code == 3 and err == ""
+    assert out.splitlines() == ["ranker: distinguishable", "game: equivalent", "methods agree: False"]
+
+
 def test_equiv_json_schema(capsys):
     jsonschema = pytest.importorskip("jsonschema")
     code, out, _ = run(capsys, "equiv", "ab", "ba", "-n", "2")
@@ -94,6 +104,19 @@ def test_check_and_metrics(tmp_path, capsys):
     assert code == 0
     assert "quantifier depth: 2" in out
     assert "alternation depth: 2" in out
+
+
+def test_metrics_letters_are_what_the_parser_reads(tmp_path, capsys):
+    # without --alphabet any visible character can be a letter, '-' too
+    f = tmp_path / "formula.txt"
+    f.write_text("Ex.-(x)")
+    code, out, err = run(capsys, "metrics", str(f), "--format", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["quantifierDepth"] == 1
+    f.write_text("")
+    code, out, err = run(capsys, "metrics", str(f))
+    assert code == 1 and out == ""
+    assert err == "error[usage]: unexpected end of input (at position 0)\n"
 
 
 def test_check_with_assignment(tmp_path, capsys):

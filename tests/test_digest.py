@@ -51,17 +51,17 @@ def _near(rng, u: Word, n: int) -> Word:
     return Word(u.alphabet, text)
 
 
-def _decider_draws(rng, count):
+def _decider_draws(rng, count, lengths=(0, 9), top=8, near=0.6, suc=0.4):
     for _ in range(count):
         alphabet = rng.choice(_ALPHABETS)
-        u = Word(alphabet, "".join(rng.choices(alphabet.letters, k=rng.randint(0, 9))))
-        n = rng.randint(1, 8)
+        u = Word(alphabet, "".join(rng.choices(alphabet.letters, k=rng.randint(*lengths))))
+        n = rng.randint(1, top)
         m = rng.choice([None, *range(1, n + 2)])
-        if rng.random() < 0.6:
+        if rng.random() < near:
             v = _near(rng, u, n)
         else:
-            v = Word(alphabet, "".join(rng.choices(alphabet.letters, k=rng.randint(0, 9))))
-        successor = rng.random() < 0.4
+            v = Word(alphabet, "".join(rng.choices(alphabet.letters, k=rng.randint(*lengths))))
+        successor = rng.random() < suc
         if m is None:
             decide = suc_ranker_equiv if successor else ranker_equiv
             yield lambda u=u, v=v, n=n, decide=decide: decide(u, v, n).to_json_dict()
@@ -115,6 +115,15 @@ def test_decider_reports_match_the_golden_digest():
     digest, outcomes = _digest(_decider_draws(random.Random(1), 4_000))
     assert outcomes == {"definedness": 2493, "none": 1436, "order": 53, "cross-direction": 18}
     assert digest == "247f73cf46fbabe9b7d45136bdaad9aee2ba7ee64026bbb582d431a3ab1b676c"
+
+
+def test_long_word_reports_match_the_golden_digest():
+    # longer words keep near pairs apart, so (b) and (c) fail often enough
+    # to pin their witnesses
+    draws = _decider_draws(random.Random(3), 4_000, lengths=(8, 24), top=7, near=0.7, suc=0.3)
+    digest, outcomes = _digest(draws)
+    assert outcomes == {"definedness": 1845, "none": 1822, "order": 244, "cross-direction": 89}
+    assert digest == "a788f3937b19ab41efcf85eda2c24b8754ecdf68df1181ea862a604ad3d1bbb5"
 
 
 def test_realized_sets_match_the_golden_digest():

@@ -317,6 +317,7 @@ def test_budget_that_cannot_bind_costs_the_unbounded_game(monkeypatch):
                     assert counts == unbounded, (successor, n, m, start_side)
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("successor", [False, True], ids=["plain", "suc"])
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
 def test_reports_match_reference_solver(corpus, successor):

@@ -480,6 +480,8 @@ def test_parse_dimacs():
     assert cnf.clauses == ((1, -2), (-3,))
     cnf = parse_dimacs("p cnf 2 1\n1\n2 0")  # clauses may span lines
     assert cnf.clauses == ((1, 2),)
+    cnf = parse_dimacs("p cnf 3 2\n1 -2 0\n2 3 0\n%\n0\n")  # SATLIB's layout ends in "%", "0"
+    assert cnf.clauses == ((1, -2), (2, 3))
     with pytest.raises(ValueError):
         parse_dimacs("1 2 0")
     with pytest.raises(ValueError):
