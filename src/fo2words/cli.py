@@ -200,7 +200,7 @@ def _cmd_verify_hierarchy(args) -> _Result:
 
     signature = Signature.ORDER_SUC if args.suc else Signature.ORDER
     d = verify_hierarchy_level(args.m, args.n, signature).to_json_dict()
-    return 0, d, [f"{k}: {v}" for k, v in d.items()]
+    return 0, d, [f"{k}: {v if isinstance(v, str) else json.dumps(v)}" for k, v in d.items()]
 
 
 def _cmd_sat(args) -> _Result:

@@ -1,12 +1,14 @@
 """Bounded-alphabet satisfiability: small models, model shrinking, CNF reduction.
 
 The shrinking procedure recurses on the number of distinct letters k that
-actually occur in the word. It cuts every maximal constant run to at most
-2n letters, all that a one-letter word needs, splits the result in one pass
-over its runs into "k-1-letter piece + separating run" blocks from the left
-and from the right, then either keeps only the first n blocks from each end
-(many blocks) or keeps all separating runs and recurses on the gaps between
-them (few blocks).
+actually occur in the word. It splits the word into "k-1-letter piece +
+separating run" blocks from the left and from the right, reading at most
+2n+1 blocks from each end, then either keeps only the first n blocks from
+each end (many blocks) or keeps all separating runs and recurses on the gaps
+between them (few blocks). Every run it keeps is cut to at most 2n letters,
+all that a one-letter word needs; cutting a run moves no block boundary, so
+the runs it drops are never cut. A block costs one `str.find` per letter, so
+the Python-level work follows the blocks read, not the length of the word.
 
 Every step preserves depth-n equivalence, and the output length stays
 within bound(n, k) = 2n * (4n+2)^(k-1); exceeding that bound is a bug,
@@ -59,50 +61,51 @@ def small_model_bound(n: int, k: int) -> int:
 _RUN = re.compile(r"(.)\1*")  # a maximal constant run: letters are visible, so `.` matches each
 
 
-def _cut_runs(text: str, n: int) -> str:
-    return _RUN.sub(lambda m: m[0][: 2 * n], text)
+def _left_partition(
+    text: str, letters: set[str], limit: int
+) -> tuple[list[str], list[tuple[int, int]]]:
+    """Split text into at most limit pieces and separating runs, from the left.
 
-
-def _left_partition(text: str) -> tuple[list[str], list[tuple[int, int]], str]:
-    """Split text into pieces and separating runs, scanning from the left.
-
-    Each piece is a maximal prefix using all but one of the distinct
-    letters of text; the run that follows it is the first run of the
-    missing letter. Returns (pieces, run intervals as 0-based [start, end),
-    tail). The tail uses strictly fewer distinct letters than text.
+    letters is the set of letters of text. Each piece is a maximal prefix
+    of the rest using all but one of them; the run that follows it is the
+    first run of the missing letter, the letter whose first occurrence
+    comes last. Returns (pieces, run intervals as 0-based [start, end)).
+    Unless limit runs were found, the text after the last run uses strictly
+    fewer distinct letters than text.
     """
-    k = len(set(text))
     pieces: list[str] = []
     runs: list[tuple[int, int]] = []
-    pos, seen = 0, set()
-    # the run whose letter completes the current piece's letter set separates it
-    for m in _RUN.finditer(text):
-        seen.add(m[1])
-        if len(seen) == k:
-            pieces.append(text[pos : m.start()])
-            runs.append(m.span())
-            pos, seen = m.end(), set()
-    return pieces, runs, text[pos:]
+    pos = 0
+    while len(runs) < limit:
+        firsts = [text.find(c, pos) for c in letters]
+        if min(firsts, default=-1) < 0:
+            break
+        m = _RUN.match(text, max(firsts))
+        pieces.append(text[pos : m.start()])
+        runs.append(m.span())
+        pos = m.end()
+    return pieces, runs
 
 
-def _right_partition(text: str) -> tuple[list[str], list[tuple[int, int]], str]:
+def _right_partition(
+    text: str, letters: set[str], limit: int
+) -> tuple[list[str], list[tuple[int, int]]]:
     """Mirror image of _left_partition: pieces and runs scanning from the right.
 
     Pieces and runs are returned right-to-left (index 0 is the rightmost).
     """
-    rev_pieces, rev_runs, rev_tail = _left_partition(text[::-1])
+    rev_pieces, rev_runs = _left_partition(text[::-1], letters, limit)
     L = len(text)
-    pieces = [p[::-1] for p in rev_pieces]
-    runs = [(L - e, L - s) for s, e in rev_runs]
-    return pieces, runs, rev_tail[::-1]
+    return [p[::-1] for p in rev_pieces], [(L - e, L - s) for s, e in rev_runs]
 
 
 def shrink(w: Word, n: int) -> Word:
     """A word of bounded length that agrees with w on all depth-n sentences."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    out = Word(w.alphabet, _shrink_text(w.text, n))
-    k = len(set(w.text))
+    letters = {c for c in w.alphabet if c in w.text}
+    out = Word(w.alphabet, _shrink_text(w.text, n, letters))
+    k = len(letters)
     if k:
         assert len(out) <= small_model_bound(n, k), (
             f"shrink produced {len(out)} letters, above the bound "
@@ -112,45 +115,56 @@ def shrink(w: Word, n: int) -> Word:
     return out
 
 
-def _shrink_text(text: str, n: int) -> str:
-    k = len(set(text))
-    if k == 0:
-        return text
-    wp = _cut_runs(text, n)
-    lpieces, lruns, _ = _left_partition(wp)
-    rpieces, rruns, _ = _right_partition(wp)
+def _shrink_text(text: str, n: int, letters: set[str]) -> str:
+    """Shrink text, whose set of letters is letters."""
+    k = len(letters)
+    if k < 2:
+        return text[: 2 * n]  # one run at most, all of which a one-letter word needs
+    # 2n+1 blocks from each end tell the two branches apart
+    lpieces, lruns = _left_partition(text, letters, 2 * n + 1)
+    rpieces, rruns = _right_partition(text, letters, 2 * n + 1)
     r = len(lruns)
+    # Both greedy scans find the most disjoint blocks that each hold every
+    # letter, so the full counts are equal; this compares them capped at
+    # 2n+1, which covers every count the branches below read.
     if len(rruns) != r:
         raise RuntimeError("left and right partitions disagree on the run count")
+
+    def cut(s: int, e: int) -> str:
+        return text[s : min(e, s + 2 * n)]
+
     if r > 2 * n:
         # Keep the first n blocks of each partition; nothing between the
         # n-th left run and the n-th right run is reachable in n steps.
+        # Each piece uses every letter but that of the run after it.
         if lruns[n - 1][1] > rruns[n - 1][0]:
             raise RuntimeError("left and right partitions overlap unexpectedly")
         left = "".join(
-            _shrink_text(lpieces[i], n) + wp[lruns[i][0] : lruns[i][1]] for i in range(n)
+            _shrink_text(piece, n, letters - {text[s]}) + cut(s, e)
+            for piece, (s, e) in zip(lpieces[:n], lruns)
         )
         right = "".join(
-            wp[rruns[i][0] : rruns[i][1]] + _shrink_text(rpieces[i], n)
-            for i in range(n - 1, -1, -1)
+            cut(s, e) + _shrink_text(piece, n, letters - {text[s]})
+            for piece, (s, e) in zip(rpieces[n - 1 :: -1], rruns[n - 1 :: -1])
         )
         return left + right
-    # Few blocks: keep every separating run from both partitions and
-    # recurse on the gaps, which use at most k-1 letters each.
+    # Few blocks: both scans ran to the end. Keep every separating run from
+    # both partitions and recurse on the gaps, which use at most k-1 letters
+    # each; the last gap is the rightmost right piece.
     marked = sorted(set(lruns) | set(rruns))
     for (s1, e1), (s2, e2) in zip(marked, marked[1:]):
         if s2 < e1:
             raise RuntimeError("separating runs must be equal or disjoint")
     out = []
     pos = 0
-    for s, e in marked:
-        gap = wp[pos:s]
-        if len(set(gap)) >= k:
+    for s, e in marked + [(len(text), len(text))]:
+        gap = text[pos:s]
+        gap_letters = {c for c in letters if c in gap}
+        if len(gap_letters) >= k:
             raise RuntimeError("a gap between separating runs kept all letters")
-        out.append(_shrink_text(gap, n))
-        out.append(wp[s:e])
+        out.append(_shrink_text(gap, n, gap_letters))
+        out.append(cut(s, e))
         pos = e
-    out.append(_shrink_text(wp[pos:], n))
     return "".join(out)
 
 

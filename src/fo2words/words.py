@@ -89,9 +89,9 @@ class Word:
     text: str
 
     def __post_init__(self):
-        for c in self.text:
-            if c not in self.alphabet:
-                raise ValueError(f"letter {c!r} not in alphabet {self.alphabet}")
+        if not set(self.text).issubset(self.alphabet.letters):
+            bad = next(c for c in self.text if c not in self.alphabet)
+            raise ValueError(f"letter {bad!r} not in alphabet {self.alphabet}")
 
     @classmethod
     def from_text(cls, text: str, alphabet: Alphabet | str | None = None) -> "Word":

@@ -205,6 +205,18 @@ def test_verify_hierarchy_command(capsys):
     assert record["ok"] is True
 
 
+def test_verify_hierarchy_text_prints_json_literals(capsys):
+    code, out, _ = run(capsys, "verify-hierarchy", "-m", "2", "-n", "2", "--format", "text")
+    assert code == 0
+    lines = out.splitlines()
+    assert "indistinguishableByRankers: true" in lines
+    assert 'separatingRankers: [">a", ">b"]' in lines
+    assert "sentenceSeparation: null" in lines
+    assert "separationDepth: 2" in lines
+    assert "u: ababababa" in lines and "ordU: <" in lines
+    assert not any(word in out for word in ("True", "False", "None", "'"))
+
+
 def test_usage_error_exit_code(capsys):
     code, _, err = run(capsys, "eval-ranker", "not-a-ranker", "ab")
     assert code == 1

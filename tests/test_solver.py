@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import tracemalloc
 from collections import defaultdict
 
@@ -40,10 +41,10 @@ from fo2words.solver import (
     CNF_ALPHABET,
     _class_key,
     _class_representatives,
-    _cut_runs,
     _left_partition,
     _right_partition,
     _same_class,
+    _shrink_text,
 )
 from helpers import random_sentence
 
@@ -67,16 +68,19 @@ def test_shrink_examples():
     assert shrink(Word(AB, ""), 2).text == ""
 
 
+def _full(partition, text):
+    """A partition scan with no block limit: a text has no more blocks than letters."""
+    return partition(text, set(text), len(text) + 1)
+
+
 def test_left_partition_structure():
-    pieces, runs, tail = _left_partition("aabba")
-    # b appears last from the left: first piece "aa", run "bb", tail "a"
+    pieces, runs = _full(_left_partition, "aabba")
+    # b appears last from the left: first piece "aa", run "bb", then "a"
     assert pieces == ["aa"]
     assert runs == [(2, 4)]
-    assert tail == "a"
-    pieces, runs, tail = _right_partition("aabba")
+    pieces, runs = _full(_right_partition, "aabba")
     assert pieces == ["a"]
     assert runs == [(2, 4)]
-    assert tail == "aa"
 
 
 def test_partition_reconstructs_word():
@@ -85,12 +89,13 @@ def test_partition_reconstructs_word():
         text = "".join(rng.choice("ab c".replace(" ", "")) for _ in range(rng.randint(2, 25)))
         if len(set(text)) < 2:
             continue
-        pieces, runs, tail = _left_partition(text)
+        pieces, runs = _full(_left_partition, text)
         rebuilt = ""
         for piece, (s, e) in zip(pieces, runs):
             rebuilt += piece + text[s:e]
-        rebuilt += tail
-        assert rebuilt == text
+        # the blocks tile a prefix, and what follows lacks a letter
+        assert text.startswith(rebuilt)
+        assert len(set(text[len(rebuilt) :])) < len(set(text))
 
 
 def _left_partition_reference(text):
@@ -113,26 +118,141 @@ def _left_partition_reference(text):
         pos += end
 
 
-def _cut_runs_reference(text, n):
-    """The original cut, one segment at a time, kept to check the regex one against."""
-    return "".join(seg.letter * min(len(seg), 2 * n) for seg in segments(text))
+def _right_partition_reference(text):
+    pieces, runs, tail = _left_partition_reference(text[::-1])
+    L = len(text)
+    return [p[::-1] for p in pieces], [(L - e, L - s) for s, e in runs], tail[::-1]
 
 
 def test_partitions_match_reference_scan():
+    # a limited scan returns the first blocks of the full one
     rng = random.Random(61)
     for _ in range(2000):
-        letters = "abcd"[: rng.randint(1, 4)]
+        letters = rng.choice(("abcd", "]^\\-.a"))[: rng.randint(1, 4)]
         text = "".join(rng.choice(letters) for _ in range(rng.randint(1, 40)))
-        for n in (1, 2, 3):
-            assert _cut_runs(text, n) == _cut_runs_reference(text, n)
-        assert _left_partition(text) == _left_partition_reference(text)
-        pieces, runs, tail = _left_partition_reference(text[::-1])
-        mirrored = (
-            [p[::-1] for p in pieces],
-            [(len(text) - e, len(text) - s) for s, e in runs],
-            tail[::-1],
+        for partition, reference in (
+            (_left_partition, _left_partition_reference),
+            (_right_partition, _right_partition_reference),
+        ):
+            pieces, runs, _ = reference(text)
+            assert _full(partition, text) == (pieces, runs)
+            for limit in range(len(runs) + 1):
+                assert partition(text, set(text), limit) == (pieces[:limit], runs[:limit])
+
+
+def test_partition_counts_agree_from_both_ends():
+    # Both greedy scans find the most disjoint blocks that each hold every
+    # letter, so their full counts are equal; shrink checks them capped at 2n+1.
+    def counts(text):
+        return len(_left_partition_reference(text)[1]), len(_right_partition_reference(text)[1])
+
+    for length in range(1, 10):
+        for combo in itertools.product("abc", repeat=length):
+            left, right = counts("".join(combo))
+            assert left == right, combo
+    rng = random.Random(62)
+    for _ in range(2000):
+        letters = "abcdef"[: rng.randint(1, 6)]
+        text = "".join(rng.choice(letters) for _ in range(rng.randint(1, 400)))
+        left, right = counts(text)
+        assert left == right, text
+
+
+def _cut_runs_reference(text, n):
+    """The original cut, one segment at a time."""
+    return "".join(seg.letter * min(len(seg), 2 * n) for seg in segments(text))
+
+
+def _shrink_text_reference(text, n):
+    """Shrinking with full scans over a cut word, as it was before the scans
+    stopped at 2n+1 blocks and only kept runs were cut."""
+
+    def scan(text):
+        k = len(set(text))
+        pieces, runs, pos, seen = [], [], 0, set()
+        for m in re.finditer(r"(.)\1*", text):
+            seen.add(m[1])
+            if len(seen) == k:
+                pieces.append(text[pos : m.start()])
+                runs.append(m.span())
+                pos, seen = m.end(), set()
+        return pieces, runs
+
+    k = len(set(text))
+    if k == 0:
+        return text
+    wp = _cut_runs_reference(text, n)
+    lpieces, lruns = scan(wp)
+    rev_pieces, rev_runs = scan(wp[::-1])
+    rpieces = [p[::-1] for p in rev_pieces]
+    rruns = [(len(wp) - e, len(wp) - s) for s, e in rev_runs]
+    assert len(lruns) == len(rruns)
+    if len(lruns) > 2 * n:
+        left = "".join(
+            _shrink_text_reference(lpieces[i], n) + wp[lruns[i][0] : lruns[i][1]] for i in range(n)
         )
-        assert _right_partition(text) == mirrored
+        right = "".join(
+            wp[rruns[i][0] : rruns[i][1]] + _shrink_text_reference(rpieces[i], n)
+            for i in range(n - 1, -1, -1)
+        )
+        return left + right
+    out, pos = [], 0
+    for s, e in sorted(set(lruns) | set(rruns)):
+        out.append(_shrink_text_reference(wp[pos:s], n) + wp[s:e])
+        pos = e
+    out.append(_shrink_text_reference(wp[pos:], n))
+    return "".join(out)
+
+
+def test_shrink_matches_full_scan_reference():
+    # uniform words reach the many-blocks branch; words of long runs and
+    # words with one rare letter reach the cut and the few-blocks branch
+    rng = random.Random(63)
+    pool = "abc]^\\-.xyz"
+    for i in range(1500):
+        letters = rng.sample(pool, rng.randint(1, 6))
+        length = rng.choice((rng.randint(0, 30), rng.randint(0, 300), rng.randint(0, 2000)))
+        shape = i % 3
+        if shape == 0:
+            text = "".join(rng.choice(letters) for _ in range(length))
+        elif shape == 1:
+            text = "".join(rng.choice(letters) * rng.randint(1, 12) for _ in range(length // 6))
+        else:
+            common = letters[1:] or letters
+            text = "".join(
+                letters[0] if rng.random() < 0.01 else rng.choice(common) for _ in range(length)
+            )
+        n = rng.randint(1, 4)
+        assert _shrink_text(text, n, set(text)) == _shrink_text_reference(text, n), (text, n)
+
+
+class _CountingPattern:
+    """Wraps a compiled pattern and counts the matches handed out."""
+
+    def __init__(self, pattern):
+        self.pattern, self.matches = pattern, 0
+
+    def match(self, *args):
+        self.matches += 1
+        return self.pattern.match(*args)
+
+    def finditer(self, *args):
+        for m in self.pattern.finditer(*args):
+            self.matches += 1
+            yield m
+
+
+def test_shrink_reads_blocks_not_letters(monkeypatch):
+    # at each level of two letters each scan stops at 2n+1 blocks, and a
+    # one-letter piece reads no run, however long the word
+    n = 3
+    rng = random.Random(64)
+    w = Word(AB, "".join(rng.choices("ab", k=200_000)))
+    counting = _CountingPattern(solver_module._RUN)
+    monkeypatch.setattr(solver_module, "_RUN", counting)
+    out = shrink(w, n)
+    assert 0 < counting.matches <= 2 * (2 * n + 1)
+    assert len(out) <= small_model_bound(n, 2)
 
 
 def test_shrink_one_letter_keeps_2n_letters():

@@ -91,6 +91,16 @@ def test_word_validation_and_positions():
     assert len(Word(a, "")) == 0
 
 
+def test_word_names_its_first_foreign_letter():
+    # the error names the first letter outside the alphabet in text order,
+    # not the first in any set order
+    a = Alphabet(("a", "b"))
+    for text, bad in (("abzay", "'z'"), ("yzab", "'y'"), ("ab\\", "'\\\\'"), ("b]a^", "']'")):
+        with pytest.raises(ValueError) as err:
+            Word(a, text)
+        assert str(err.value) == f"letter {bad} not in alphabet ab"
+
+
 def test_word_from_text_infers_alphabet():
     w = Word.from_text("baa")
     assert w.alphabet.letters == ("a", "b")
