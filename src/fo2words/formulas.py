@@ -138,16 +138,6 @@ def free_vars(f: Formula) -> frozenset[str]:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def uses_successor(f: Formula) -> bool:
-    if isinstance(f, Suc):
-        return True
-    if isinstance(f, (Not, _Quantifier)):
-        return uses_successor(f.body)
-    if isinstance(f, _Binary):
-        return uses_successor(f.left) or uses_successor(f.right)
-    return False
-
-
 # --- truth-value helpers -------------------------------------------------
 #
 # The AST has no dedicated constants; Equal(v, v) is the canonical "true"
@@ -328,7 +318,7 @@ def render_formula(f: Formula) -> str:
 
 def nnf(f: Formula) -> Formula:
     """Push negations to atoms, eliminate Implies, fold trivial constants."""
-    return _nnf(f, negate=False)
+    return _nnf(f, negate=False)[0]
 
 
 # The De Morgan dual of each connective and quantifier, and the constant
@@ -337,39 +327,52 @@ _DUAL = {And: Or, Or: And, Exists: Forall, Forall: Exists}
 _ABSORBS = {And: is_false_atom, Or: is_true_atom}
 
 
-def _fold(connective: type[_Binary], a: Formula, b: Formula) -> Formula:
-    """a and b joined by And or Or, with a constant operand folded away."""
+_Folded = tuple[Formula, int, int, int, bool]
+
+
+def _fold(connective: type[_Binary], a: _Folded, b: _Folded) -> _Folded:
+    """a and b joined by And or Or, with a constant operand folded away.
+
+    The result keeps the depths of what it keeps, and uses suc where either
+    operand as written does.
+    """
     absorbs, drops = _ABSORBS[connective], _ABSORBS[_DUAL[connective]]
-    if absorbs(a):
-        return a
-    if absorbs(b):
-        return b
-    if drops(a):
-        return b
-    if drops(b):
-        return a
-    return connective(a, b)
+    suc = a[4] or b[4]
+    if absorbs(a[0]):
+        kept = a
+    elif absorbs(b[0]) or drops(a[0]):
+        kept = b
+    elif drops(b[0]):
+        kept = a
+    else:
+        return connective(a[0], b[0]), max(a[1], b[1]), max(a[2], b[2]), max(a[3], b[3]), suc
+    return (*kept[:4], suc)
 
 
-def _nnf(f: Formula, negate: bool) -> Formula:
+def _nnf(f: Formula, negate: bool) -> _Folded:
+    """The NNF of f (of !f when negating) with its quantifier depth, its
+    alternation depth under an E and under an A, and whether f uses suc."""
     if isinstance(f, Not):
         return _nnf(f.body, not negate)
     if isinstance(f, Implies):  # a -> b == !a | b
         f = Or(Not(f.left), f.right)
-    if isinstance(f, (_Binary, _Quantifier)):
-        kind = _DUAL[type(f)] if negate else type(f)
-        if isinstance(f, _Quantifier):
-            return kind(f.var, _nnf(f.body, negate))
-        return _fold(kind, _nnf(f.left, negate), _nnf(f.right, negate))
+    if isinstance(f, _Binary):
+        return _fold(_DUAL[type(f)] if negate else type(f), _nnf(f.left, negate), _nnf(f.right, negate))
+    if isinstance(f, _Quantifier):
+        body, depth, below_e, below_a, suc = _nnf(f.body, negate)
+        if isinstance(f, Exists) is not negate:
+            return Exists(f.var, body), depth + 1, below_e, below_e + 1, suc
+        return Forall(f.var, body), depth + 1, below_a + 1, below_a, suc
     # atoms
+    suc = isinstance(f, Suc)
     if not negate:
-        return f
+        return f, 0, 0, 0, suc
     if is_true_atom(f):
-        return Less(f.left, f.left)  # type: ignore[union-attr]
+        return Less(f.left, f.left), 0, 0, 0, suc  # type: ignore[union-attr]
     if is_false_atom(f):
         v = f.left  # type: ignore[union-attr]
-        return Equal(v, v)
-    return Not(f)
+        return Equal(v, v), 0, 0, 0, suc
+    return Not(f), 0, 0, 0, suc
 
 
 # --- metrics ---------------------------------------------------------------
@@ -382,23 +385,6 @@ class FormulaMetrics:
     free_vars: frozenset[str]
 
 
-def _depths(f: Formula) -> tuple[int, int, int]:
-    """f's quantifier depth, and its alternation depth under an E and under an A.
-
-    f is in negation normal form, so a Not wraps an atom and adds nothing.
-    """
-    if isinstance(f, _Binary):
-        (d, e, a), (d2, e2, a2) = _depths(f.left), _depths(f.right)
-        return max(d, d2), max(e, e2), max(a, a2)
-    if isinstance(f, Exists):
-        d, e, _ = _depths(f.body)
-        return d + 1, e, e + 1
-    if isinstance(f, Forall):
-        d, _, a = _depths(f.body)
-        return d + 1, a + 1, a
-    return 0, 0, 0
-
-
 def formula_metrics(f: Formula) -> FormulaMetrics:
     """Depth metrics are computed on the negation normal form.
 
@@ -406,11 +392,11 @@ def formula_metrics(f: Formula) -> FormulaMetrics:
     only after negations are pushed to atoms do quantifier blocks line up
     with which structure the spoiler plays on in the game reading.
     """
-    depth, below_e, below_a = _depths(nnf(f))
+    _, depth, below_e, below_a, suc = _nnf(f, negate=False)
     return FormulaMetrics(
         quantifier_depth=depth,
         alternation_depth=max(below_e, below_a),
-        uses_successor=uses_successor(f),
+        uses_successor=suc,
         free_vars=free_vars(f),
     )
 
@@ -431,7 +417,7 @@ def _lift(c: int, d: int) -> int:
 
 
 class _Program:
-    """Ey.f compiled apart from any word; `column` runs it on one word.
+    """Ey.f compiled apart from any word; `holds` and `positions` run it on one word.
 
     Nodes are interned bottom-up, keyed by fields and child ids, so equal
     subformulas share one id, register and column; registers 0 and 1 hold
@@ -539,6 +525,15 @@ class _Program:
             cols[n] = (out ^ flip) & full
         return cols[-1]
 
+    def holds(self, text: str, alphabet: Alphabet, x: int = 1, y: int = 1) -> bool:
+        """Whether f holds on text with x at position x and y at y; for a sentence, its truth."""
+        return bool(self.column(text, alphabet, 1 << (y - 1)) >> (x - 1) & 1)
+
+    def positions(self, text: str, alphabet: Alphabet) -> tuple[int, ...]:
+        """The positions of text at which f, with no free variable but x, holds."""
+        bits = format(self.column(text, alphabet, (1 << len(text)) - 1), "b")[::-1]
+        return tuple(p for p, bit in enumerate(bits, 1) if bit == "1")
+
 
 def model_check(
     f: Formula,
@@ -556,12 +551,7 @@ def model_check(
     for name, p in (("x", x_pos), ("y", y_pos)):
         if p is not None and not 1 <= p <= L:
             raise ValueError(f"position {p} for {name} out of range [1, {L}]")
-    # f at x_pos is the column of Ey.f over x with y confined to y_pos
-    return bool(_Program(f).column(w.text, w.alphabet, 1 << ((y_pos or 1) - 1)) >> ((x_pos or 1) - 1) & 1)
-
-
-def _ones(column: int) -> tuple[int, ...]:
-    return tuple(i for i, bit in enumerate(format(column, "b")[::-1], 1) if bit == "1")
+    return _Program(f).holds(w.text, w.alphabet, x_pos or 1, y_pos or 1)
 
 
 def satisfying_positions(f: Formula, w: Word) -> tuple[int, ...]:
@@ -569,7 +559,7 @@ def satisfying_positions(f: Formula, w: Word) -> tuple[int, ...]:
     fv = free_vars(f)
     if not fv <= {"x"}:
         raise FreeVariableError(f"expected free variables within {{x}}, got {{{', '.join(sorted(fv))}}}")
-    return _ones(_Program(f).column(w.text, w.alphabet, (1 << len(w)) - 1))
+    return _Program(f).positions(w.text, w.alphabet)
 
 
 # --- ranker formula synthesis ----------------------------------------------
@@ -660,17 +650,15 @@ def synth_comparison(r: AnyRanker, relation: str, free_var: str = "x") -> Formul
         raise ValueError(f"relation must be one of <, <=, >, >=, got {relation!r}")
     _check_var(free_var)
     f = _comparison(r.steps, rel, free_var)
-    assert f is not None
-    assert formula_metrics(f).quantifier_depth <= len(r)
+    assert f is not None and formula_metrics(f).quantifier_depth <= len(r)
     return f
 
 
 def synth_definedness(r: AnyRanker) -> Formula:
     """A sentence true on exactly the words where r is defined."""
     f = _definedness(r.steps, "x")
-    assert f is not None
-    assert formula_metrics(f).quantifier_depth <= len(r)
-    assert not free_vars(f)
+    assert f is not None and (m := formula_metrics(f)).quantifier_depth <= len(r)
+    assert not m.free_vars
     return f
 
 
@@ -690,9 +678,8 @@ def synth_position(r: AnyRanker) -> Formula:
     else:
         guard = Forall("y", Implies(earlier, Not(gamma_y)))
     f = conjoin(win_x + [gamma_x, guard])
-    assert f is not None
-    assert formula_metrics(f).quantifier_depth <= len(r)
-    assert free_vars(f) == {"x"}
+    assert f is not None and (m := formula_metrics(f)).quantifier_depth <= len(r)
+    assert m.free_vars == {"x"}
     return f
 
 
@@ -715,17 +702,18 @@ class UniquePositionReport:
 
 
 def unique_position_report(f: Formula, corpus: Iterable[Word]) -> UniquePositionReport:
-    fv = free_vars(f)
-    if fv != {"x"}:
-        raise FreeVariableError(f"expected exactly the free variable x, got {{{', '.join(sorted(fv))}}}")
-    depth = max(1, formula_metrics(f).quantifier_depth)
+    metrics = formula_metrics(f)
+    if metrics.free_vars != {"x"}:
+        got = ", ".join(sorted(metrics.free_vars))
+        raise FreeVariableError(f"expected exactly the free variable x, got {{{got}}}")
+    depth = max(1, metrics.quantifier_depth)
     program = _Program(f)
-    positions = {w: _ones(program.column(w.text, w.alphabet, (1 << len(w)) - 1)) for w in corpus}
+    positions = {w: program.positions(w.text, w.alphabet) for w in corpus}
     is_unique = all(len(p) <= 1 for p in positions.values())
     coincidence: dict[Word, bool] = {}
     if is_unique:
         for w, p in positions.items():
             if len(p) == 1:
-                walked = _walk(w, w, depth, None, False, rankers.DEFAULT_ENUMERATION_CAP)
-                coincidence[w] = p[0] in walked[1]  # realized positions
+                realized = set(_walk(w, w, depth, None, False, rankers.DEFAULT_ENUMERATION_CAP)[1])
+                coincidence[w] = p[0] in realized
     return UniquePositionReport(positions, is_unique, coincidence, depth)

@@ -15,6 +15,7 @@ word for its window.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping
@@ -364,6 +365,11 @@ def _walk(u: Word, v: Word, n: int, alt_bound: int | None, successor: bool, cap:
     return kept, pos_u, pos_v, blocks, None
 
 
+# a step: a direction, then a window [before|letter|after] of one centre
+# letter, no part holding ']' or '|', or one plain character other than '['
+_STEP = re.compile(r"([<>])(?:\[([^]|]*)\|([^]|])\|([^]|]*)\]|([^[]))")
+
+
 def parse_ranker(text: str, alphabet: Alphabet | None = None) -> Ranker:
     """Parse the ASCII ranker syntax.
 
@@ -371,38 +377,16 @@ def parse_ranker(text: str, alphabet: Alphabet | None = None) -> Ranker:
     with empty components allowed. A ranker containing any bracketed step is
     a successor ranker, with plain steps promoted to empty windows.
     """
-    i = 0
     steps: list[BoundaryPos] = []
-    any_window = False
-    while i < len(text):
-        c = text[i]
-        if c == ">":
-            direction = Direction.RIGHT
-        elif c == "<":
-            direction = Direction.LEFT
-        else:
-            raise ValueError(f"expected '>' or '<' at position {i} in {text!r}")
-        i += 1
-        if i >= len(text):
-            raise ValueError(f"dangling direction at end of {text!r}")
-        if text[i] == "[":
-            end = text.find("]", i)
-            if end < 0:
-                raise ValueError(f"unterminated '[' at position {i} in {text!r}")
-            parts = text[i + 1 : end].split("|")
-            if len(parts) != 3:
-                raise ValueError(f"a window needs exactly 'before|letter|after' at position {i}")
-            before, letter, after = parts
-            if len(letter) != 1:
-                raise ValueError(f"window centre must be a single letter, got {letter!r}")
-            steps.append(BoundaryPos(direction, letter, before, after))
-            any_window = True
-            i = end + 1
-        else:
-            steps.append(BoundaryPos(direction, text[i]))
-            i += 1
-    if not steps:
-        raise ValueError("empty ranker")
+    i, any_window = 0, False
+    while i < len(text) or not steps:
+        m = _STEP.match(text, i)
+        if m is None:
+            raise ValueError(f"expected a step >a, <a or >[before|a|after] at position {i} in {text!r}")
+        direction, before, letter, after, plain = m.groups()
+        steps.append(BoundaryPos(Direction(direction), plain or letter, before or "", after or ""))
+        any_window = any_window or plain is None
+        i = m.end()
     if alphabet is not None:
         for step in steps:
             for ch in step.before + step.letter + step.after:

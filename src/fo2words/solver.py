@@ -311,7 +311,7 @@ def sat_search(
         candidates = _class_representatives(alphabet.letters, n, explored, definitive, word_budget)
     program = _Program(formula)
     for text in candidates:
-        if program.column(text, alphabet, 1) & 1:  # bit 0 with y at 1 is the truth of a sentence, as in model_check
+        if program.holds(text, alphabet):
             return SatResult(SatStatus.SAT, Word(alphabet, text), len(text))
     status = SatStatus.UNSAT_DEFINITIVE if definitive else SatStatus.UNSAT_UP_TO_BOUND
     return SatResult(status, None, explored)

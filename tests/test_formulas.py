@@ -447,11 +447,11 @@ def test_one_program_matches_reference_across_words():
             ys = positions if "y" in fv else [None] + positions
             for x, y in itertools.product(xs, ys):
                 cell = ((x or 1) - 1) * L + (y or 1) - 1
-                column = program.column(w.text, w.alphabet, 1 << ((y or 1) - 1))
-                assert column >> ((x or 1) - 1) & 1 == table >> cell & 1, (render_formula(f), w.text, x, y)
+                holds = program.holds(w.text, w.alphabet, x or 1, y or 1)
+                assert holds == bool(table >> cell & 1), (render_formula(f), w.text, x, y)
             if fv <= {"x"}:
-                expected = sum(1 << (i - 1) for i in positions if table >> ((i - 1) * L) & 1)
-                assert program.column(w.text, w.alphabet, (1 << L) - 1) == expected, (render_formula(f), w.text)
+                expected = tuple(i for i in positions if table >> ((i - 1) * L) & 1)
+                assert program.positions(w.text, w.alphabet) == expected, (render_formula(f), w.text)
 
     ab_words = words("ab", 17)
     rng = random.Random(88)
