@@ -19,6 +19,9 @@ from .rankers import BoundaryPos, Direction, Ranker, eval_ranker
 from .words import Alphabet, OrderType, Word, order_type
 
 
+_PAD = "b"
+
+
 def _letters(m: int, signature: Signature) -> list[str]:
     """Rendering of the indexed letters: a, b, c, ... for the order signature;
     with successor, b is reserved for the padding letter, so a, c, d, ..."""
@@ -30,9 +33,6 @@ def _letters(m: int, signature: Signature) -> list[str]:
     if m > len(base):
         raise ValueError(f"no letter rendering beyond {len(base)} levels")
     return list(base[:m])
-
-
-_PAD = "b"
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,7 @@ def witness_words(m: int, n: int) -> WitnessPair:
     if m >= 2:
         block = (a[1] + a[0]) * (2 * n)
         u, v = a[0] + block, block
-    level = 2
-    while level < m:
-        level += 1
+    for level in range(3, m + 1):
         if level % 2 == 1:
             block = "".join(a[:level]) * n
             u, v = block + u, block + v
@@ -108,14 +106,10 @@ def separating_rankers(m: int, signature: Signature = Signature.ORDER) -> Separa
     if m < 2:
         raise ValueError("separating rankers exist for m >= 2")
     a = _letters(m, signature)
-    r_steps = [BoundaryPos(Direction.RIGHT, a[0])]
-    s_steps = [BoundaryPos(Direction.RIGHT, a[1])]
-    for level in range(3, m + 1):
-        direction = Direction.LEFT if level % 2 == 1 else Direction.RIGHT
-        step = BoundaryPos(direction, a[level - 1])
-        r_steps.insert(0, step)
-        s_steps.insert(0, step)
-    return SeparatingRankerPair(Ranker(tuple(r_steps)), Ranker(tuple(s_steps)))
+    outer = tuple(BoundaryPos(Direction.LEFT if level % 2 else Direction.RIGHT, a[level - 1])
+                  for level in range(m, 2, -1))
+    r, s = (Ranker(outer + (BoundaryPos(Direction.RIGHT, letter),)) for letter in a[:2])
+    return SeparatingRankerPair(r, s)
 
 
 @dataclass(frozen=True)
@@ -126,6 +120,10 @@ class HierarchyReport:
     separating rankers' order flip and by a spoiler win at (m, n') for the
     smallest n' <= m, the search bound. Level 1 separates by a sentence
     instead of a ranker pair.
+
+    ``separation_search_bound`` always equals ``m``: one pass searches every
+    depth up to m. It stays because ``schema/hierarchy_report.v1.json``
+    requires ``separationSearchBound``; a v2 schema may drop it.
     """
 
     m: int
@@ -197,49 +195,26 @@ def verify_hierarchy_level(
 
     # the game first: over its cell cap it fails before any other work
     indist_game = game_equiv_alt(u, v, m - 1, n, with_successor=successor, cap=cap).delilah_wins
-    indist_ranker: Optional[bool] = None
-    if m >= 2:
-        decider = suc_ranker_equiv_alt if successor else ranker_equiv_alt
-        indist_ranker = decider(u, v, m - 1, n).verdict
+    if m == 1:
+        # A sentence tells the words apart. Without successor the witness v
+        # is empty, so pure existence separates; with successor both words
+        # are padded and only the marked letter differs.
+        sentence = parse_formula("Ex.a(x)" if successor else "Ex.x=x", u.alphabet, signature)
+        return HierarchyReport(
+            m=m, n=n, signature=signature, pair=pair, indist_ranker=None, indist_game=indist_game,
+            rankers=None, ord_u=None, ord_v=None, ranker_separation=None, separation_depth=None,
+            separation_search_bound=m,
+            sentence_separation=model_check(sentence, u) and not model_check(sentence, v),
+        )
 
-    rankers = None
-    ord_u = ord_v = None
-    ranker_separation: Optional[bool] = None
-    separation_depth: Optional[int] = None
-    sentence_separation: Optional[bool] = None
-    if m >= 2:
-        rankers = separating_rankers(m, signature)
-        ru, su = eval_ranker(rankers.r, u), eval_ranker(rankers.s, u)
-        rv, sv = eval_ranker(rankers.r, v), eval_ranker(rankers.s, v)
-        if None not in (ru, su, rv, sv):
-            ord_u = order_type(ru, su)
-            ord_v = order_type(rv, sv)
-            ranker_separation = ord_u != ord_v
-        else:
-            ranker_separation = False
-        separation_depth = _Solver(u, v, successor, cap).separation_depth(m)
-    else:
-        # Level 1: a sentence tells the words apart. Without successor the
-        # witness v is empty, so pure existence separates; with successor
-        # both words are padded and only the marked letter differs.
-        if successor:
-            sentence = parse_formula("Ex.a(x)", u.alphabet, Signature.ORDER_SUC)
-        else:
-            sentence = parse_formula("Ex.x=x", u.alphabet, Signature.ORDER)
-        sentence_separation = model_check(sentence, u) and not model_check(sentence, v)
-
+    decider = suc_ranker_equiv_alt if successor else ranker_equiv_alt
+    indist_ranker = decider(u, v, m - 1, n).verdict
+    rankers = separating_rankers(m, signature)
+    ru, su, rv, sv = positions = [eval_ranker(r, w) for w in (u, v) for r in (rankers.r, rankers.s)]
+    ord_u, ord_v = (None, None) if None in positions else (order_type(ru, su), order_type(rv, sv))
     return HierarchyReport(
-        m=m,
-        n=n,
-        signature=signature,
-        pair=pair,
-        indist_ranker=indist_ranker,
-        indist_game=indist_game,
-        rankers=rankers,
-        ord_u=ord_u,
-        ord_v=ord_v,
-        ranker_separation=ranker_separation,
-        separation_depth=separation_depth,
-        separation_search_bound=m,
-        sentence_separation=sentence_separation,
+        m=m, n=n, signature=signature, pair=pair, indist_ranker=indist_ranker,
+        indist_game=indist_game, rankers=rankers, ord_u=ord_u, ord_v=ord_v,
+        ranker_separation=ord_u != ord_v, separation_search_bound=m, sentence_separation=None,
+        separation_depth=_Solver(u, v, successor, cap).separation_depth(m),
     )

@@ -1,6 +1,7 @@
 import pytest
 
 from fo2words import (
+    GameResourceError,
     Signature,
     eval_ranker,
     game_equiv_alt,
@@ -11,6 +12,7 @@ from fo2words import (
     witness_words,
     witness_words_suc,
 )
+from fo2words import hierarchy
 
 
 def test_witness_words_examples():
@@ -179,6 +181,20 @@ def test_levels_nine_to_eleven_under_the_default_game_cap():
         report = verify_hierarchy_level(m, m)
         assert report.ok and report.indist_game and report.indist_ranker, m
         assert report.separation_depth == m
+
+
+def test_game_runs_before_the_ranker_walk(monkeypatch):
+    # over the cell cap the game fails at once; the walk it would otherwise
+    # wait for takes seconds, (6,6) with successor about 14 s
+    def walk(*args):
+        raise AssertionError("the ranker walk ran before the game")
+
+    monkeypatch.setattr(hierarchy, "ranker_equiv_alt", walk)
+    monkeypatch.setattr(hierarchy, "suc_ranker_equiv_alt", walk)
+    for m, signature, needed in ((12, Signature.ORDER, 5_409_300), (6, Signature.ORDER_SUC, 12_047_672)):
+        with pytest.raises(GameResourceError) as caught:
+            verify_hierarchy_level(m, m, signature)
+        assert caught.value.needed == needed
 
 
 def test_separation_depth_matches_the_per_depth_search():

@@ -404,18 +404,21 @@ def _shortlex_scan(f, alphabet, max_len, cap):
 
 
 def test_class_keys_match_game_and_rankers():
-    words = [Word(AB, "".join(c)) for length in range(6) for c in itertools.product("ab", repeat=length)]
-    for n in (1, 2, 3):
-        # one table for the whole corpus: a table per word would merge classes
-        intern = defaultdict(itertools.count().__next__).__getitem__
-        keys = {w.text: _class_key(w.text, n, intern) for w in words}
-        for u, v in itertools.combinations(words, 2):
-            same = keys[u.text] == keys[v.text]
-            assert same is game_equiv(u, v, n).delilah_wins, (u.text, v.text, n)
-            assert same is ranker_equiv(u, v, n).verdict, (u.text, v.text, n)
-            assert same is _same_class(u.text, v.text, n)
-            if same:
-                assert _class_key(u.text, n, hash) == _class_key(v.text, n, hash)
+    # every {a,b} word up to length 5 at n <= 3, every {a,b,c} word up to length 4 at n <= 2
+    for alphabet, top, depths in ((AB, 5, (1, 2, 3)), (ABC, 4, (1, 2))):
+        words = [Word(alphabet, "".join(c)) for length in range(top + 1)
+                 for c in itertools.product(alphabet.letters, repeat=length)]
+        for n in depths:
+            # one table for the whole corpus: a table per word would merge classes
+            intern = defaultdict(itertools.count().__next__).__getitem__
+            keys = {w.text: _class_key(w.text, n, intern) for w in words}
+            for u, v in itertools.combinations(words, 2):
+                same = keys[u.text] == keys[v.text]
+                assert same is game_equiv(u, v, n).delilah_wins, (u.text, v.text, n)
+                assert same is ranker_equiv(u, v, n).verdict, (u.text, v.text, n)
+                assert same is _same_class(u.text, v.text, n)
+                if same:
+                    assert _class_key(u.text, n, hash) == _class_key(v.text, n, hash)
 
 
 def test_sat_search_over_classes_matches_model_check_scan():
