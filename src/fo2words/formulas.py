@@ -125,16 +125,24 @@ def other_var(v: str) -> str:
 
 
 def free_vars(f: Formula) -> frozenset[str]:
+    return _free_vars(f, {})
+
+
+def _free_vars(f: Formula, memo: dict[int, frozenset[str]]) -> frozenset[str]:
+    """free_vars of f, with each quantifier object's answer kept in memo by id."""
     if isinstance(f, LetterAtom):
         return frozenset((f.var,))
     if isinstance(f, _Relation):
         return frozenset((f.left, f.right))
     if isinstance(f, Not):
-        return free_vars(f.body)
+        return _free_vars(f.body, memo)
     if isinstance(f, _Binary):
-        return free_vars(f.left) | free_vars(f.right)
+        return _free_vars(f.left, memo) | _free_vars(f.right, memo)
     if isinstance(f, _Quantifier):
-        return free_vars(f.body) - {f.var}
+        fv = memo.get(id(f))
+        if fv is None:
+            fv = memo[id(f)] = _free_vars(f.body, memo) - {f.var}
+        return fv
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -318,7 +326,7 @@ def render_formula(f: Formula) -> str:
 
 def nnf(f: Formula) -> Formula:
     """Push negations to atoms, eliminate Implies, fold trivial constants."""
-    return _nnf(f, negate=False)[0]
+    return _nnf(f, False, {})[0]
 
 
 # The De Morgan dual of each connective and quantifier, and the constant
@@ -349,20 +357,31 @@ def _fold(connective: type[_Binary], a: _Folded, b: _Folded) -> _Folded:
     return (*kept[:4], suc)
 
 
-def _nnf(f: Formula, negate: bool) -> _Folded:
+def _nnf(f: Formula, negate: bool, memo: dict[tuple[int, bool], _Folded]) -> _Folded:
     """The NNF of f (of !f when negating) with its quantifier depth, its
-    alternation depth under an E and under an A, and whether f uses suc."""
+    alternation depth under an E and under an A, and whether f uses suc.
+
+    Each quantifier object's answer is kept in memo by (id, negate), so a
+    subformula shared by object is walked once per polarity.
+    """
     if isinstance(f, Not):
-        return _nnf(f.body, not negate)
+        return _nnf(f.body, not negate, memo)
     if isinstance(f, Implies):  # a -> b == !a | b
         f = Or(Not(f.left), f.right)
     if isinstance(f, _Binary):
-        return _fold(_DUAL[type(f)] if negate else type(f), _nnf(f.left, negate), _nnf(f.right, negate))
+        connective = _DUAL[type(f)] if negate else type(f)
+        return _fold(connective, _nnf(f.left, negate, memo), _nnf(f.right, negate, memo))
     if isinstance(f, _Quantifier):
-        body, depth, below_e, below_a, suc = _nnf(f.body, negate)
-        if isinstance(f, Exists) is not negate:
-            return Exists(f.var, body), depth + 1, below_e, below_e + 1, suc
-        return Forall(f.var, body), depth + 1, below_a + 1, below_a, suc
+        key = id(f), negate
+        folded = memo.get(key)
+        if folded is None:
+            body, depth, below_e, below_a, suc = _nnf(f.body, negate, memo)
+            if isinstance(f, Exists) is not negate:
+                folded = Exists(f.var, body), depth + 1, below_e, below_e + 1, suc
+            else:
+                folded = Forall(f.var, body), depth + 1, below_a + 1, below_a, suc
+            memo[key] = folded
+        return folded
     # atoms
     suc = isinstance(f, Suc)
     if not negate:
@@ -392,7 +411,7 @@ def formula_metrics(f: Formula) -> FormulaMetrics:
     only after negations are pushed to atoms do quantifier blocks line up
     with which structure the spoiler plays on in the game reading.
     """
-    _, depth, below_e, below_a, suc = _nnf(f, negate=False)
+    _, depth, below_e, below_a, suc = _nnf(f, False, {})
     return FormulaMetrics(
         quantifier_depth=depth,
         alternation_depth=max(below_e, below_a),
@@ -430,33 +449,31 @@ class _Program:
     """
 
     def __init__(self, f: Formula):
-        # a pre-order, reversed, puts every node after its subformulas and a
-        # None before each quantifier's body
-        order, stack = [], [Exists("y", f)]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            if isinstance(node, Implies):  # a -> b is !a | b
-                stack += (Not(node.left), node.right)
-            elif isinstance(node, _Binary):
-                stack += (node.left, node.right)
-            elif isinstance(node, Not):
-                stack.append(node.body)
-            elif isinstance(node, _Quantifier):
-                stack += (None, node.body)
-        # each node finds its subformulas' ids on top of `done` and joins the
-        # innermost open body, with the set of ids already in that body
+        # A post-order walk, left operand first. An atom is handled when it is
+        # popped; any other node first pushes itself as (node,) under its
+        # subformulas, opening a quantifier's body, and is handled when that
+        # comes back up. A quantifier object met again is not walked again:
+        # its (tag, key) is kept in `walked` by id, for this compile alone.
+        # Each node finds its subformulas' ids on top of `done` and joins the
+        # innermost open body, with the set of ids already in that body.
         interned: dict[tuple, int] = {}
+        walked: dict[int, tuple] = {}
         self.letters: dict[int, str] = {}
         self.quantifiers: list[tuple] = []
         done, bodies = [], [({"x": [], "y": [], "rel": [], "op": []}, set())]
-        for node in reversed(order):
-            if node is None:
-                bodies.append(({"x": [], "y": [], "rel": [], "op": []}, set()))
-                continue
-            if isinstance(node, _Quantifier):
-                body, _ = bodies.pop()
-                tag, key = other_var(node.var), (type(node), node.var, done.pop())
+        stack: list = [Exists("y", f)]
+        while stack:
+            node = stack.pop()
+            if type(node) is tuple:  # its subformulas are done
+                node = node[0]
+                if isinstance(node, _Quantifier):
+                    body, _ = bodies.pop()
+                    tag, key = walked[id(node)] = other_var(node.var), (type(node), node.var, done.pop())
+                elif isinstance(node, Not):
+                    tag, key = "op", (xor, done.pop(), 0)
+                else:
+                    b, a = done.pop(), done.pop()
+                    tag, key = "op", (and_ if isinstance(node, And) else or_, a, b)
             elif isinstance(node, LetterAtom):
                 tag, key = node.var, (node.var, node.letter)
             elif isinstance(node, _Relation) and node.left == node.right:
@@ -464,11 +481,20 @@ class _Program:
                 continue
             elif isinstance(node, _Relation):
                 tag, key = "rel", (type(node), node.left)
-            elif isinstance(node, Not):
-                tag, key = "op", (xor, done.pop(), 0)
+            elif isinstance(node, _Quantifier) and id(node) in walked:
+                tag, key = walked[id(node)]
             else:
-                b, a = done.pop(), done.pop()
-                tag, key = "op", (and_ if isinstance(node, And) else or_, a, b)
+                stack.append((node,))
+                if isinstance(node, Implies):  # a -> b is !a | b
+                    stack += (node.right, Not(node.left))
+                elif isinstance(node, _Binary):
+                    stack += (node.right, node.left)
+                elif isinstance(node, Not):
+                    stack.append(node.body)
+                else:
+                    bodies.append(({"x": [], "y": [], "rel": [], "op": []}, set()))
+                    stack.append(node.body)
+                continue
             new = key not in interned
             n = interned.setdefault(key, len(interned) + 2)
             if new and isinstance(node, _Quantifier):
@@ -607,22 +633,27 @@ def _window(step: BoundaryPos, var: str) -> list[Formula]:
     return [p for p in parts if p is not None]
 
 
-def _definedness(steps: Sequence[BoundaryPos], var: str) -> Optional[Formula]:
+def _definedness(steps: Sequence[BoundaryPos], var: str, memo: dict) -> Optional[Formula]:
     if not steps:
         return None
     last, prefix = steps[-1], steps[:-1]
-    gamma = _comparison(prefix, _TOWARD[last.direction], var)
+    gamma = _comparison(prefix, _TOWARD[last.direction], var, memo)
     return Exists(var, conjoin(_window(last, var) + [gamma]))
 
 
-def _comparison(steps: Sequence[BoundaryPos], rel: str, var: str) -> Optional[Formula]:
+def _comparison(steps: Sequence[BoundaryPos], rel: str, var: str, memo: dict) -> Optional[Formula]:
     """Formula meaning "the steps are defined and var `rel` their position".
 
     None stands for the vacuous comparison against the sentinel before/after
-    the word, which is how the empty prefix arises.
+    the word, which is how the empty prefix arises. The steps are always a
+    prefix of one ranker's, so memo keeps each answer by (len(steps), rel,
+    var), and a reversal's two uses of a comparison share one object.
     """
     if not steps:
         return None
+    key = len(steps), rel, var
+    if key in memo:
+        return memo[key]
     last, prefix = steps[-1], steps[:-1]
     u = other_var(var)
     toward = _TOWARD[last.direction]
@@ -631,12 +662,14 @@ def _comparison(steps: Sequence[BoundaryPos], rel: str, var: str) -> Optional[Fo
         # is beyond it iff var is beyond some such match u
         lo, hi = _beyond(last.direction, var, u)
         cmp = Less(lo, hi) if rel == toward else Or(Less(lo, hi), Equal(lo, hi))
-        inner = _comparison(prefix, toward, u)
-        return Exists(u, conjoin(_window(last, u) + [cmp, inner]))
-    # var falls short of the position iff the steps are defined and var is
-    # not beyond it (not weakly beyond, for a strict rel)
-    weak = _comparison(steps, toward if rel.endswith("=") else toward + "=", var)
-    return conjoin([_definedness(steps, u), Not(weak)])
+        inner = _comparison(prefix, toward, u, memo)
+        memo[key] = Exists(u, conjoin(_window(last, u) + [cmp, inner]))
+    else:
+        # var falls short of the position iff the steps are defined and var
+        # is not beyond it (not weakly beyond, for a strict rel)
+        weak = _comparison(steps, toward if rel.endswith("=") else toward + "=", var, memo)
+        memo[key] = conjoin([_definedness(steps, u, memo), Not(weak)])
+    return memo[key]
 
 
 def synth_comparison(r: AnyRanker, relation: str, free_var: str = "x") -> Formula:
@@ -649,14 +682,14 @@ def synth_comparison(r: AnyRanker, relation: str, free_var: str = "x") -> Formul
     if rel is None:
         raise ValueError(f"relation must be one of <, <=, >, >=, got {relation!r}")
     _check_var(free_var)
-    f = _comparison(r.steps, rel, free_var)
+    f = _comparison(r.steps, rel, free_var, {})
     assert f is not None and formula_metrics(f).quantifier_depth <= len(r)
     return f
 
 
 def synth_definedness(r: AnyRanker) -> Formula:
     """A sentence true on exactly the words where r is defined."""
-    f = _definedness(r.steps, "x")
+    f = _definedness(r.steps, "x", {})
     assert f is not None and (m := formula_metrics(f)).quantifier_depth <= len(r)
     assert not m.free_vars
     return f
@@ -669,8 +702,9 @@ def synth_position(r: AnyRanker) -> Formula:
     toward = _TOWARD[last.direction]
     win_x = _window(last, "x")
     win_y = _window(last, "y")
-    gamma_x = _comparison(prefix, toward, "x")
-    gamma_y = _comparison(prefix, toward, "y")
+    memo: dict = {}
+    gamma_x = _comparison(prefix, toward, "x", memo)
+    gamma_y = _comparison(prefix, toward, "y", memo)
     earlier = conjoin([Less(*_beyond(last.direction, "x", "y"))] + win_y)
     assert earlier is not None
     if gamma_y is None:

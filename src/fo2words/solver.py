@@ -14,12 +14,15 @@ Every step preserves depth-n equivalence, and the output length stays
 within bound(n, k) = 2n * (4n+2)^(k-1); exceeding that bound is a bug,
 not a tolerance issue, and is asserted.
 
-The model search compiles its sentence once. Depth-n truth is constant on
-≡_n classes and ≡_n is a congruence, so the search runs the sentence only on
-the shortlex-least word of each class, found breadth first. A search by
-exact length (the CNF reduction's) runs it on every word of that length: its
-sentences have depth close to the length, so almost every word is its own
-class.
+The model search compiles its sentence once. Its front end, the metrics
+and the compile, walks each quantifier object once, so it costs the
+sentence's distinct nodes: the CNF reduction builds each counting chain and
+each variable's literal once and shares them by object. Depth-n truth is
+constant on ≡_n classes and ≡_n is a congruence, so the search runs the
+sentence only on the shortlex-least word of each class, found breadth
+first. A search by exact length (the CNF reduction's) runs it on every word
+of that length: its sentences have depth close to the length, so almost
+every word is its own class.
 """
 
 from __future__ import annotations
@@ -391,16 +394,11 @@ def _at_least_below(i: int, var: str, memo: dict) -> Optional[Formula]:
 
 
 def _var_is_one(i: int, memo: dict) -> Formula:
-    """The i-th position carries letter 1: it has exactly i-1 positions below."""
-    exactly = conjoin(
-        [
-            LetterAtom("1", "x"),
-            _at_least_below(i - 1, "x", memo),
-            Not(_at_least_below(i, "x", memo)),
-        ]
-    )
-    assert exactly is not None
-    return Exists("x", exactly)
+    """The i-th position carries letter 1: it has exactly i-1 positions below; built once per memo."""
+    if i not in memo:  # kept at key i, beside _at_least_below's (i, var)
+        below, beyond = _at_least_below(i - 1, "x", memo), _at_least_below(i, "x", memo)
+        memo[i] = Exists("x", conjoin([LetterAtom("1", "x"), below, Not(beyond)]))
+    return memo[i]
 
 
 def _length_exactly(n: int, memo: dict) -> Formula:
@@ -413,8 +411,9 @@ def cnf_to_fo2(cnf: Cnf) -> tuple[Formula, int]:
 
     Models are exactly the length-n words whose i-th letter is 1 precisely
     when variable i is true in a satisfying assignment; the sentence pins
-    the model length to n by position counting, with chains shared through
-    one memo, so the sentence has O(n + literals) distinct nodes.
+    the model length to n by position counting. The counting chains and
+    each variable's literal are built once and shared through one memo, so
+    the sentence has O(n + literals) distinct nodes.
     """
     if not cnf.clauses:
         raise ValueError("a CNF with no clauses is trivially satisfiable; nothing to translate")

@@ -48,7 +48,8 @@ from fo2words import (
     synth_position,
     unique_position_report,
 )
-from fo2words.formulas import _Program
+from fo2words import formulas
+from fo2words.formulas import Formula, _Program
 from fo2words.rankers import DEFAULT_ENUMERATION_CAP, _walk
 
 AB = Alphabet(("a", "b"))
@@ -522,6 +523,131 @@ def test_render_parse_round_trip():
     for _ in range(200):
         f = random_formula(rng, rng.randint(0, 3), signature=Signature.ORDER_SUC, bound=("x", "y"))
         assert parse_formula(render_formula(f), AB, Signature.ORDER_SUC) == f
+
+
+# --- shared subformulas ----------------------------------------------------------
+
+def _distinct_nodes(f):
+    seen, stack = set(), [f]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack += [c for c in vars(node).values() if isinstance(c, Formula)]
+    return len(seen)
+
+
+def _tree_nodes(f):
+    return 1 + sum(_tree_nodes(c) for c in vars(f).values() if isinstance(c, Formula))
+
+
+def _random_ranker_text(rng, successor):
+    # step i of a successor ranker reads at most i letters a side (0-based i)
+    steps = []
+    for i in range(rng.randint(1, 6)):
+        d, c = rng.choice("><"), rng.choice("ab")
+        if successor:
+            before, after = ("".join(rng.choices("ab", k=rng.randint(0, min(i, 2)))) for _ in "ba")
+            steps.append(f"{d}[{before}|{c}|{after}]")
+        else:
+            steps.append(d + c)
+    return "".join(steps)
+
+
+def _agree_as_shared_and_unshared(f, alphabet, words):
+    signature = Signature.ORDER_SUC if formula_metrics(f).uses_successor else Signature.ORDER
+    g = parse_formula(render_formula(f), alphabet, signature)
+    assert g == f
+    assert formula_metrics(g) == formula_metrics(f)
+    assert render_formula(nnf(g)) == render_formula(nnf(f))
+    shared, unshared = _Program(f), _Program(g)
+    assert (shared.size, shared.letters, shared.quantifiers) == (
+        unshared.size, unshared.letters, unshared.quantifiers)
+    fv = free_vars(f)
+    assert free_vars(g) == fv
+    for w in words:
+        for x, y in itertools.product(*(list(w.positions()) if v in fv else [None] for v in "xy")):
+            assert model_check(f, w, x, y) is model_check(g, w, x, y), (render_formula(f), w.text, x, y)
+
+
+def test_shared_formulas_match_their_unshared_copies():
+    # CNF translations and synthesized formulas share subformulas by object;
+    # re-parsing their rendering gives the same formula as a tree
+    rng = random.Random(36)
+    zero_one = Alphabet(("0", "1"))
+    bits = [Word(zero_one, "".join(t)) for n in range(5) for t in itertools.product("01", repeat=n)]
+    ab_words = [W("".join(rng.choices("ab", k=rng.randint(0, 6)))) for _ in range(12)]
+    saved = 0
+    for _ in range(30):
+        count = rng.randint(1, 4)
+        clauses = tuple(
+            tuple(rng.choice((1, -1)) * rng.randint(1, count) for _ in range(rng.randint(0, 4)))
+            for _ in range(rng.randint(1, 4))
+        )
+        f, _ = cnf_to_fo2(Cnf(count, clauses))
+        saved += _tree_nodes(f) - _distinct_nodes(f)
+        _agree_as_shared_and_unshared(f, zero_one, bits)
+    for _ in range(40):
+        r = parse_ranker(_random_ranker_text(rng, rng.random() < 0.4))
+        for f in (synth_definedness(r), synth_position(r), synth_comparison(r, rng.choice(["<", "<=", ">", ">="]))):
+            saved += _tree_nodes(f) - _distinct_nodes(f)
+            _agree_as_shared_and_unshared(f, AB, ab_words)
+    assert saved > 1000  # the corpus does share
+
+
+def test_shared_quantifier_in_two_bodies_and_both_polarities():
+    # One Ey object with x free sits in the bodies of Ex, Ax and Ey.Ex, once
+    # under a negation and once on an implication's left. Its NNF differs by
+    # polarity, and each body that holds it must read its column.
+    q = Exists("y", And(Less("x", "y"), LetterAtom("b", "y")))
+    f = And(
+        Exists("x", And(LetterAtom("a", "x"), q)),
+        Or(
+            Forall("x", Implies(q, Not(LetterAtom("b", "x")))),
+            Exists("y", Exists("x", And(Less("y", "x"), Not(q)))),
+        ),
+    )
+    assert _distinct_nodes(f) < _tree_nodes(f)
+    words = [W("".join(t)) for n in range(6) for t in itertools.product("ab", repeat=n)]
+    _agree_as_shared_and_unshared(f, AB, words)
+    assert {model_check(f, w) for w in words} == {True, False}
+    assert render_formula(nnf(Or(q, Not(q)))) == "((Ey.(x<y & b(y))) | (Ay.(!x<y | !b(y))))"
+
+
+def test_formula_walks_cost_distinct_nodes():
+    # The CNF clause 1 ... 300 and the synthesized formulas of an alternating
+    # ranker share subformulas by object. Walked as trees, they would take
+    # exponentially many calls. A profile hook counts the calls without
+    # adding a frame to the clause's 600-deep recursion, and fails past a
+    # fixed limit rather than run on.
+    walks = {formulas._nnf.__code__: "_nnf", formulas._free_vars.__code__: "_free_vars",
+             formulas._comparison.__code__: "_comparison"}
+    counts = dict.fromkeys(walks.values(), 0)
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in walks:
+            counts[walks[frame.f_code]] += 1
+            assert counts[walks[frame.f_code]] <= 100_000, "a walk made over 100,000 calls"
+
+    def counted(run):
+        counts.update(dict.fromkeys(counts, 0))
+        sys.setprofile(count)
+        try:
+            return run()
+        finally:
+            sys.setprofile(None)
+
+    r = parse_ranker(">a<b" * 20)
+    for build in (
+        lambda: cnf_to_fo2(Cnf(300, (tuple(range(1, 301)),)))[0],
+        lambda: synth_definedness(r),
+        lambda: synth_position(r),
+    ):
+        f = counted(build)  # synthesis checks its own metrics
+        assert counts["_comparison"] <= 8 * len(r)
+        nodes = _distinct_nodes(f)
+        counted(lambda: formula_metrics(f))
+        assert 0 < counts["_nnf"] <= 4 * nodes and 0 < counts["_free_vars"] <= 2 * nodes, (counts, nodes)
 
 
 # --- synthesis ---------------------------------------------------------------
