@@ -16,11 +16,10 @@ v and, with an alternation bound, its last direction; a ranker is kept
 only with fewer blocks than every earlier one at its state (with no bound,
 a state keeps its first ranker). With successor, states are kept per
 window width, which stops at max(|u|, |v|) - 1, so both walks end at their
-first depth with no new state. Where u and v are one text, one search per
-step serves both words, and once the walk finds no one-sided ranker the
-verdict is true: every ranker sits at one position on both words, so (b)
-and (c) are not checked. The walk keeps each ranker as its tuple of steps,
-and a `Ranker` or `SucRanker` is built only for a reported witness.
+first depth with no new state. Equal texts are equivalent at every n and m,
+so they are answered before any walk. The walk keeps each ranker as its
+tuple of steps, and a `Ranker` or `SucRanker` is built only for a reported
+witness.
 
 A skipped ranker sits where an earlier kept one does, ends in the same
 direction, and has no fewer blocks and no fewer steps. As a row it fails
@@ -141,17 +140,18 @@ def _structure_check(u: Word, v: Word, n: int, m: Optional[int], successor: bool
         raise ValueError("n must be >= 1")
     if m is not None and m < 1:
         raise ValueError("m must be >= 1")
-    common, pos_u, pos_v, blocks, one_sided = _walk(u, v, n, m, successor, rankers.DEFAULT_ENUMERATION_CAP)
-    if one_sided is not None:
-        entry = WitnessEntry(*one_sided)
-        return EquivReport(False, FailedCondition.DEFINEDNESS, (entry,), n, m, successor)
-    if u.text == v.text:  # every ranker sits at one position on both words
+    if u.text == v.text:
         return EquivReport(True, FailedCondition.NONE, (), n, m, successor)
+    common, pos_u, pos_v, blocks, one_sided = _walk(u, v, n, m, successor, rankers.DEFAULT_ENUMERATION_CAP)
+    make = SucRanker if successor else Ranker
+    if one_sided is not None:
+        steps, x, y = one_sided
+        entry = WitnessEntry(make(steps), x, y)
+        return EquivReport(False, FailedCondition.DEFINEDNESS, (entry,), n, m, successor)
 
     shorter = [j for j, steps in enumerate(common) if len(steps) <= n - 1]
 
     def report(condition: FailedCondition, hit: tuple[int, int]) -> EquivReport:
-        make = SucRanker if successor else Ranker
         entries = tuple(WitnessEntry(make(common[k]), pos_u[k], pos_v[k]) for k in hit)
         return EquivReport(False, condition, entries, n, m, successor)
 

@@ -633,9 +633,7 @@ def _window(step: BoundaryPos, var: str) -> list[Formula]:
     return [p for p in parts if p is not None]
 
 
-def _definedness(steps: Sequence[BoundaryPos], var: str, memo: dict) -> Optional[Formula]:
-    if not steps:
-        return None
+def _definedness(steps: Sequence[BoundaryPos], var: str, memo: dict) -> Formula:
     last, prefix = steps[-1], steps[:-1]
     gamma = _comparison(prefix, _TOWARD[last.direction], var, memo)
     return Exists(var, conjoin(_window(last, var) + [gamma]))
@@ -690,7 +688,7 @@ def synth_comparison(r: AnyRanker, relation: str, free_var: str = "x") -> Formul
 def synth_definedness(r: AnyRanker) -> Formula:
     """A sentence true on exactly the words where r is defined."""
     f = _definedness(r.steps, "x", {})
-    assert f is not None and (m := formula_metrics(f)).quantifier_depth <= len(r)
+    assert (m := formula_metrics(f)).quantifier_depth <= len(r)
     assert not m.free_vars
     return f
 

@@ -311,19 +311,16 @@ def _walk(u: Word, v: Word, n: int, alt_bound: int | None, successor: bool, cap:
     first depth with no new state, however large n is. Only rankers defined
     on both words are extended, each depth in order by the candidate steps
     in order (`_steps`), so rankers come out in `sort_key` order. The
-    root's start is 0. Where u and v are one text, every ranker sits at one
-    position on both, so one search serves both words.
+    root's start is 0.
 
     Returns the kept rankers as tuples of steps, their positions on u and
     on v and their blocks, and the least ranker defined on one word only,
-    as a `Ranker` or `SucRanker`, with its positions, if any (the lists then
-    stop short). More than `cap` kept rankers raise `EnumerationCapError`;
+    as its tuple of steps, with its positions, if any (the lists then stop
+    short). More than `cap` kept rankers raise `EnumerationCapError`;
     on states, that trips only where enumerating either word's rankers
     would.
     """
-    make = SucRanker if successor else Ranker
     tu, tv = u.text, v.text
-    same = tu == tv
     bounded = alt_bound is not None
     widest, width = max(len(tu), len(tv), 1) - 1, None
     kept, pos_u, pos_v, blocks = [], [], [], []
@@ -342,11 +339,11 @@ def _walk(u: Word, v: Word, n: int, alt_bound: int | None, successor: bool, cap:
                 if bounded and b > alt_bound:
                     continue
                 x2 = _match(tu, right, window, k, ell, x)
-                y2 = x2 if same else _match(tv, right, window, k, ell, y)
+                y2 = _match(tv, right, window, k, ell, y)
                 if x2 is None and y2 is None:
                     continue
                 if x2 is None or y2 is None:
-                    return kept, pos_u, pos_v, blocks, (make(steps + (step,)), x2, y2)
+                    return kept, pos_u, pos_v, blocks, (steps + (step,), x2, y2)
                 if not every:
                     state, least = ((x2, y2, right), b) if bounded else ((x2, y2), 0)
                     if seen.get(state, least + 1) <= least:

@@ -6,7 +6,8 @@ SHA-256. A change that keeps every report keeps the hash, so a refactor of
 the ranker walk, the game, the hierarchy verifier or the formula layer can
 claim identical output by leaving this file as it is. The outcome counts are
 asserted too, so the corpus visibly exercises conditions (a), (b) and (c),
-true verdicts and cap errors, and true and false formulas of each source.
+true verdicts and cap errors, wins of Delilah and of Samson on each side,
+and true and false formulas of each source.
 """
 
 import hashlib
@@ -23,12 +24,16 @@ from fo2words import (
     Direction,
     Ranker,
     ResourceCapError,
+    Side,
     Signature,
     SucRanker,
     Word,
     cnf_to_fo2,
     formula_metrics,
     free_vars,
+    game_equiv,
+    game_equiv_alt,
+    game_equiv_general,
     model_check,
     nnf,
     parse_ranker,
@@ -47,6 +52,7 @@ from fo2words import (
     synth_position,
     verify_hierarchy_level,
 )
+from fo2words.efgames import DEFAULT_GAME_CAP
 
 _ALPHABETS = (Alphabet(("a", "b")), Alphabet(("a", "b", "c")))
 
@@ -86,6 +92,50 @@ def _decider_draws(rng, count, lengths=(0, 9), top=8, near=0.6, suc=0.4):
         else:
             decide = suc_ranker_equiv_alt if successor else ranker_equiv_alt
             yield lambda u=u, v=v, m=m, n=n, decide=decide: decide(u, v, m, n).to_json_dict()
+
+
+def _lengthened(rng, alphabet) -> tuple[Word, Word]:
+    # a word of runs and the same word with one run a letter longer
+    letters = [rng.choice(alphabet.letters)]
+    for _ in range(rng.randint(0, 4)):
+        letters.append(rng.choice([a for a in alphabet.letters if a != letters[-1]]))
+    lengths = [rng.randint(1, 4) for _ in letters]
+    longer = lengths.copy()
+    longer[rng.randrange(len(longer))] += 1
+    u, v = ("".join(a * k for a, k in zip(letters, ks)) for ks in (lengths, longer))
+    return Word(alphabet, u), Word(alphabet, v)
+
+
+def _game_draws(rng, count):
+    # the three games in turn; caps from 400 bits, which the longer words exceed,
+    # to one no game here reaches, so cap errors are pinned with their needs
+    caps = (400, 2_000, DEFAULT_GAME_CAP, 10**15)
+    for i in range(count):
+        alphabet = rng.choice(_ALPHABETS)
+        n = rng.randint(0, 6)
+        if rng.random() < 0.5:
+            u = Word(alphabet, "".join(rng.choices(alphabet.letters, k=rng.randint(1, 14))))
+            v = _near(rng, u, n)
+        else:
+            u, v = _lengthened(rng, alphabet)
+        if rng.random() < 0.5:
+            u, v = v, u
+        successor = rng.random() < 0.5
+        side = rng.choice([None, Side.U, Side.V])
+        cap = rng.choice(caps)
+        if i % 3 == 0:
+            yield lambda u=u, v=v, n=n, s=successor, cap=cap: game_equiv(u, v, n, s, cap).to_json_dict()
+        elif i % 3 == 1:
+            m = rng.randint(0, n + 1)
+            yield lambda u=u, v=v, m=m, n=n, s=successor, side=side, cap=cap: game_equiv_alt(
+                u, v, m, n, s, side, cap
+            ).to_json_dict()
+        else:
+            m = rng.choice([None, *range(0, n + 2)])
+            at = [rng.randint(1, len(w)) for w in (u, u, v, v)]  # x and y on u, then on v
+            yield lambda u=u, v=v, at=at, n=n, m=m, s=successor, side=side, cap=cap: game_equiv_general(
+                u, *at[:2], v, *at[2:], n, m, side, s, cap
+            ).to_json_dict()
 
 
 def _realized_draws(rng, count):
@@ -213,6 +263,9 @@ def _report_outcomes(out):
         return [out["error"]]
     if isinstance(out, dict) and "failedCondition" in out:
         return [out["failedCondition"]]
+    if isinstance(out, dict) and "delilahWins" in out:
+        move = out["firstWinningSamsonMove"]  # None where the start already loses
+        return ["delilah" if out["delilahWins"] else f"samson {move['side'] if move else 'at start'}"]
     if isinstance(out, dict) and "ok" in out:
         return ["ok" if out["ok"] else "not ok"]
     if isinstance(out, dict) and "class" in out:
@@ -274,3 +327,12 @@ def test_ranker_syntax_matches_the_golden_digest():
     digest, outcomes = _digest(_ranker_texts(random.Random(5), 4_000))
     assert outcomes == {"Ranker": 396, "SucRanker": 241, "ValueError": 3363}
     assert digest == "bae0905f7fb550574cd997856fa256e0e40f977c4dae2429058d9efe926a5c0f"
+
+
+def test_game_verdicts_match_the_golden_digest():
+    # Samson's first winning move is in each verdict
+    digest, outcomes = _digest(_game_draws(random.Random(6), 12_000))
+    assert outcomes == {
+        "delilah": 4550, "samson u": 4743, "samson v": 1539, "samson at start": 941, "GameResourceError": 227,
+    }
+    assert digest == "6ef7b2eea14631b0fa9dc1346423fc695343465ec1271ffb839a3319e1c0baef"

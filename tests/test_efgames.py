@@ -103,6 +103,17 @@ def test_game_equiv_general_examples():
         assert (verdict.delilah_wins, verdict.first_winning_samson_move) == (False, None)
 
 
+def test_negative_depths_are_usage_errors():
+    u, v = W("ab"), W("ba")
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        game_equiv(u, v, -1)
+    for m, n in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError, match="m and n must be >= 0"):
+            game_equiv_alt(u, v, m, n)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        game_equiv_general(u, 1, 2, v, 1, 2, -1)
+
+
 @pytest.mark.parametrize("start_side", ["u", "V", 0])
 def test_start_side_must_be_a_side(start_side):
     # unchecked, "u" would count as neither side, so both moves would spend a switch

@@ -378,14 +378,15 @@ def test_walk_over_its_cap_raises(monkeypatch):
     from fo2words import rankers
 
     # the decider walks 4 states at n=1, 18 at n=4 and 20 with successor at
-    # m=2, n=2 on this word; a plain walk of a word against itself has at
-    # most one state per position, so the word has more than 17 letters
+    # m=2, n=2 on these two words, and finds no ranker defined on one only
     monkeypatch.setattr(rankers, "DEFAULT_ENUMERATION_CAP", 17)
-    u = W("abaabbab" * 3)
-    assert ranker_equiv(u, u, 1).verdict is True
-    for check in (lambda: ranker_equiv(u, u, 4), lambda: suc_ranker_equiv_alt(u, u, 2, 2)):
+    u, v = W("abaabbab" * 3), W("abaabbab" * 4)
+    assert ranker_equiv(u, v, 1).verdict is True
+    for check in (lambda: ranker_equiv(u, v, 4), lambda: suc_ranker_equiv_alt(u, v, 2, 2)):
         with pytest.raises(EnumerationCapError):
             check()
+    # a word against itself is answered before any walk, so no cap binds
+    assert ranker_equiv(u, u, 4).verdict is True
 
 
 def _record_lookups(monkeypatch, record):
@@ -440,19 +441,6 @@ def test_no_kept_ranker_is_dominated_by_an_earlier_one():
     assert revisits > 0
 
 
-@pytest.mark.parametrize("w", ["abab", "aabba", "babbaab"])
-def test_walk_of_one_text_makes_one_lookup_per_step(monkeypatch, w):
-    # a word walked against itself sits at one position on both copies, so
-    # each step's lookup serves both
-    calls = []
-    _record_lookups(monkeypatch, lambda step, start: calls.append((step, start)))
-    realized_rankers(W(w), 3)
-    realized_suc_rankers(W(w), 3)
-    assert suc_ranker_equiv(W(w), W(w), 3).verdict is True
-    assert calls
-    assert all(a != b for a, b in zip(calls, calls[1:]))
-
-
 _U60 = "aaaaabbaaabaaaaabaaabbaababaaabbababaabaabbbabbbaaababaaaabb"
 
 
@@ -487,13 +475,14 @@ def test_deciders_build_only_the_rankers_they_report(monkeypatch, decide, fails_
 
 @pytest.mark.parametrize("w", ["", "a", "abab", "aabba", "babbaab", _U60])
 def test_a_word_against_itself_is_decided_by_the_walk(monkeypatch, w):
-    # equal texts put every ranker at one position on both words, so no
-    # row can fail (b) or (c) once the walk finds no one-sided ranker
+    # every n and m equivalence is reflexive, so equal texts are answered
+    # true before the walk and the order checks
     from fo2words import equivalence
 
     def refuse(*args):
-        raise AssertionError("the order check ran on one text")
+        raise AssertionError("a word against itself was walked or checked")
 
+    monkeypatch.setattr(equivalence, "_walk", refuse)
     monkeypatch.setattr(equivalence, "_first_bad", refuse)
     monkeypatch.setattr(equivalence, "_Columns", refuse)
     u, v = W(w), W(w)
@@ -505,6 +494,9 @@ def test_a_word_against_itself_is_decided_by_the_walk(monkeypatch, w):
     ):
         assert report.verdict is True
         assert report.failed_condition is FailedCondition.NONE
+    # the arguments are still checked first
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        ranker_equiv_alt(u, v, 0, 2)
 
 
 def test_tables_of_many_letters_stay_under_the_cap():
@@ -575,4 +567,7 @@ def test_walk_stops_when_no_state_is_new(monkeypatch, u, v, successor, m):
     small = decide(5).to_json_dict()
     assert huge.pop("n") == 10**9 and small.pop("n") == 5
     assert huge == small
-    assert calls[0] > 0
+    if u == v:  # a word against itself is answered before any walk
+        assert calls[0] == 0
+    else:
+        assert calls[0] > 0

@@ -335,6 +335,12 @@ def test_model_check_successor_semantics():
 def test_model_check_requires_assignments():
     with pytest.raises(FreeVariableError):
         model_check(parse_formula("a(x)", AB), W("ab"))
+    x_before_y = parse_formula("x < y", AB)
+    with pytest.raises(FreeVariableError, match="free variable y"):
+        model_check(x_before_y, W("ab"), x_pos=1)
+    assert model_check(x_before_y, W("ab"), x_pos=1, y_pos=2) is True
+    with pytest.raises(FreeVariableError):
+        satisfying_positions(parse_formula("a(y)", AB), W("ab"))
     with pytest.raises(ValueError):
         model_check(parse_formula("a(x)", AB), W("ab"), x_pos=3)
 
@@ -670,6 +676,8 @@ def test_synth_comparison_examples():
     assert satisfying_positions(synth_comparison(r, ">"), W("bab")) == (3,)
     assert satisfying_positions(synth_comparison(r, ">="), W("bab")) == (2, 3)
     assert satisfying_positions(synth_comparison(r, "<"), W("bbb")) == ()
+    with pytest.raises(ValueError, match="relation must be one of"):
+        synth_comparison(r, "=")
 
 
 # Renderings of the parent implementation, pinned: the semantic tests cannot

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from fo2words import (
@@ -136,6 +138,7 @@ def test_verify_hierarchy_level_examples():
     assert report.indist_ranker and report.indist_game
     assert report.ranker_separation
     assert report.separation_depth == 2
+    assert not dataclasses.replace(report, indist_game=False).ok
 
     report = verify_hierarchy_level(1, 1)
     assert report.ok and report.sentence_separation

@@ -155,6 +155,29 @@ def test_realized_rankers_examples():
     assert {render_ranker(r): p for r, p in only_right} == {">a": 1, ">b": 2}
 
 
+def test_realized_set_select_filters():
+    # on aba: >a 1, >b 2, <a 3, <b 2 and eight rankers of two steps, of
+    # which >b<a and <b>a change direction
+    realized = realized_rankers(W("aba"), 2)
+    assert len(realized) == 12
+
+    def rendered(pairs):
+        return {render_ranker(r): p for r, p in pairs}
+
+    assert rendered(realized.select(max_length=1)) == {">a": 1, ">b": 2, "<a": 3, "<b": 2}
+    assert rendered(realized.select(blocks=2)) == {">b<a": 1, "<b>a": 3}
+    two_steps = rendered(realized.select(length=2))
+    assert len(two_steps) == 8 and ">a" not in two_steps
+    assert rendered(realized.select(length=2, max_blocks=1)) == {
+        ">a>a": 3, ">a>b": 2, ">b>a": 3, "<a<a": 1, "<a<b": 2, "<b<a": 1,
+    }
+
+
+def test_a_plain_ranker_renders_a_windowed_step_bracketed():
+    r = Ranker((BoundaryPos(R, "a"), BoundaryPos(L, "b", "a", "")))
+    assert str(r) == ">a<[a|b|]"
+
+
 def test_realized_suc_rankers_examples():
     rs = realized_suc_rankers(W("ab"), 1)
     assert {render_ranker(r): p for r, p in rs.positions.items()} == {
@@ -194,6 +217,8 @@ def test_negative_cap_is_a_usage_error():
             realize(W("ab"), 2, cap=-1)
         with pytest.raises(EnumerationCapError):  # a cap of zero is a cap, not a usage error
             realize(W("ab"), 2, cap=0)
+        with pytest.raises(ValueError, match="alt_bound must be >= 1"):
+            realize(W("ab"), 2, alt_bound=0)
 
 
 def test_realized_set_invariant_positions_reproduce():

@@ -605,6 +605,8 @@ def test_parse_dimacs():
     assert cnf.clauses == ((1, 2),)
     cnf = parse_dimacs("p cnf 3 2\n1 -2 0\n2 3 0\n%\n0\n")  # SATLIB's layout ends in "%", "0"
     assert cnf.clauses == ((1, -2), (2, 3))
+    cnf = parse_dimacs("p cnf 2 2\n1 0\n-1 2")  # the last clause may omit its 0
+    assert cnf.clauses == ((1,), (-1, 2))
     with pytest.raises(ValueError):
         parse_dimacs("1 2 0")
     with pytest.raises(ValueError):
@@ -627,3 +629,12 @@ def test_render_size_linear_in_cnf():
         cnf = Cnf(nvars, clauses)
         formula, n = cnf_to_fo2(cnf)
         assert len(render_formula(formula)) <= 64 * max(1, cnf.literal_count) * n + 64 * n
+
+
+def test_exact_length_search_stops_at_its_word_budget():
+    # no word satisfies the sentence, so all four words of length 2 are run
+    never = parse_formula("Ex. (a(x) & b(x))", AB)
+    with pytest.raises(SearchBudgetError):
+        sat_search(never, AB, exact_len=2, word_budget=3)
+    result = sat_search(never, AB, exact_len=2, word_budget=4)
+    assert (result.status, result.witness, result.explored_bound) == (SatStatus.UNSAT_UP_TO_BOUND, None, 2)

@@ -106,3 +106,13 @@ def test_word_from_text_infers_alphabet():
     assert w.alphabet.letters == ("a", "b")
     with pytest.raises(ValueError):
         Word.from_text("")
+
+
+def test_word_from_text_takes_an_alphabet_as_text():
+    # the given letters keep their order; str gives the word's letters back
+    w = Word.from_text("ab", "ba")
+    assert w.alphabet == Alphabet(("b", "a")) == Alphabet.from_text("ba")
+    assert str(w) == "ab" and str(w.alphabet) == "ba"
+    assert str(Word.from_text("", "a")) == ""
+    with pytest.raises(ValueError):
+        Alphabet.from_text("aba")
